@@ -4,9 +4,10 @@ functional, the evolution functionals they define, and residual checks of
 the identities those functionals satisfy, cross-validated by a 1D
 driven-oscillator grid solver."""
 
-from .gaussian import (GaussianCoefficients, QuadraticPolynomial,
-                       apply_first_order, apply_second_order, evaluate,
-                       gradient_at, log_evaluate, rescale)
+from .gaussian import (GaussianCoefficients, PairCoefficients,
+                       QuadraticPolynomial, apply_first_order,
+                       apply_second_order, evaluate, gradient_at,
+                       log_evaluate, rescale)
 from .modespace import ModeSpace, ModeVector, build_mode_space, mode_frequency
 from .propagator import (KernelConvention, PoleResolutionError,
                          feynman_kernel_closed, feynman_kernel_quadrature,

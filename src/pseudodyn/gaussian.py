@@ -13,6 +13,15 @@ convention makes the mode derivative uniform:
 First- and second-order mode-differential operators applied to exp(S) are
 returned as the exact quadratic polynomial (L exp(S)) / exp(S), which is
 where identity residuals are read off.
+
+The evolution states of this package have A supported on the (k, -k)
+pairings only.  They carry it in pair form, PairCoefficients: one entry
+a_k = A_{k,-k} per mode together with the negation permutation, so that
+
+    S(u) = sum_k a_k u_k u_{-k}  +  b.u  +  c
+
+costs O(N).  The dense A is built only when a caller reads ``.a``; the dense
+GaussianCoefficients and the operators above stay the generic reference.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from .modespace import ModeVector
 
 __all__ = [
     "GaussianCoefficients",
+    "PairCoefficients",
     "QuadraticPolynomial",
     "evaluate",
     "log_evaluate",
@@ -95,6 +105,61 @@ class GaussianCoefficients:
         a = np.array(record["a_re"]) + 1j * np.array(record["a_im"])
         b = np.array(record["b_re"]) + 1j * np.array(record["b_im"])
         return cls(a, b, record["c_re"] + 1j * record["c_im"])
+
+
+@dataclass(frozen=True)
+class PairCoefficients:
+    """Exponent data (A, b, c) with A_{k,-k} = a_pair[k] and A zero elsewhere.
+
+    ``negation`` is the position permutation k -> -k.  a_pair is symmetrized
+    over each pair at construction (a_k = a_{-k}), the per-mode image of the
+    exact symmetrization of GaussianCoefficients.
+    """
+
+    a_pair: np.ndarray
+    b: np.ndarray
+    c: complex
+    negation: np.ndarray
+
+    def __post_init__(self):
+        neg = np.asarray(self.negation)
+        a = np.asarray(self.a_pair, dtype=complex)
+        b = np.asarray(self.b, dtype=complex).copy()
+        if neg.ndim != 1 or a.shape != neg.shape or b.shape != neg.shape:
+            raise ValueError(f"a_pair {a.shape}, b {b.shape} and negation "
+                             f"{neg.shape} must be equal 1-D shapes")
+        a = 0.5 * (a + a[neg])
+        for arr in (a, b):
+            arr.setflags(write=False)
+        object.__setattr__(self, "a_pair", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", complex(self.c))
+        object.__setattr__(self, "negation", neg)
+
+    @property
+    def dim(self) -> int:
+        return self.a_pair.shape[0]
+
+    @property
+    def a(self) -> np.ndarray:
+        """The dense N x N matrix A, built on every read."""
+        a = np.zeros((self.dim, self.dim), dtype=complex)
+        a[np.arange(self.dim), self.negation] = self.a_pair
+        a.setflags(write=False)
+        return a
+
+    @classmethod
+    def from_dense(cls, g: GaussianCoefficients,
+                   negation: np.ndarray) -> "PairCoefficients":
+        """Pair form of g; raises ValueError if A has an entry off the pairings."""
+        if g.dim != len(negation):
+            raise ValueError(f"A is {g.dim} x {g.dim}, expected {len(negation)} modes")
+        rows = np.arange(g.dim)
+        off = g.a.copy()
+        off[rows, negation] = 0.0
+        if np.any(off != 0.0):
+            raise ValueError("A has entries off the (k, -k) pairings")
+        return cls(g.a[rows, negation], g.b, g.c, negation)
 
 
 @dataclass(frozen=True)
@@ -198,12 +263,15 @@ def apply_second_order(g: GaussianCoefficients, curvature: np.ndarray,
     return QuadraticPolynomial(q2, q1, q0)
 
 
-def rescale(g: GaussianCoefficients, lam: complex) -> GaussianCoefficients:
+def rescale(g: GaussianCoefficients | PairCoefficients, lam: complex):
     """Coefficient image of u -> lam*u: A -> lam^2 A, b -> lam b, c unchanged.
 
-    evaluate(rescale(g, lam), u) == evaluate(g, lam*u).
+    evaluate(rescale(g, lam), u) == evaluate(g, lam*u).  The pair form maps
+    a_k -> lam^2 a_k and stays in pair form.
     """
     lam = complex(lam)
     if lam == 0:
         raise ValueError("rescale factor must be nonzero")
+    if isinstance(g, PairCoefficients):
+        return PairCoefficients(lam * lam * g.a_pair, lam * g.b, g.c, g.negation)
     return GaussianCoefficients(lam * lam * g.a, lam * g.b, g.c)

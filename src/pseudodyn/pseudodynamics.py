@@ -9,6 +9,8 @@ as a functional of u gives a complex Gaussian
 whose coefficients obey two exact laws: A is independent of T with
 A_{k,-k} * omega_k constant across modes, and b_k(T) = b_k(0) e^{-i omega_k T}.
 Advancing T is therefore a pure phase rotation of b (a semigroup).
+States carry the exponent in pair form (gaussian.PairCoefficients, one
+a_k = A_{k,-k} per mode), so building and advancing a state costs O(N).
 
 The raw kernel normalization does not satisfy the target first-order
 evolution equation
@@ -24,11 +26,11 @@ i dPhi/dT = sum_k u_k (c1 omega_k d/du_k - c2 u_{-k}) Phi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gaussian import GaussianCoefficients, rescale
+from .gaussian import GaussianCoefficients, PairCoefficients, rescale
 from .modespace import ModeSpace, ModeVector
 from .propagator import DEFAULT_CONVENTION, KernelConvention
 from .sources import delta_pair_source, z_exponent
@@ -70,19 +72,22 @@ class ConventionCalibration:
 
 @dataclass(frozen=True)
 class EvolutionState:
-    """Gaussian coefficients of Phi(T, .) together with their provenance."""
+    """Gaussian coefficients of Phi(T, .) together with their provenance.
+
+    coeffs is held in pair form.  A dense GaussianCoefficients is accepted
+    and converted; its A must vanish off the (k, -k) pairings (ValueError).
+    """
 
     space: ModeSpace
     t: float
     v_hat: ModeVector
-    coeffs: GaussianCoefficients
+    coeffs: PairCoefficients
     calibration: ConventionCalibration
 
-    def to_record(self) -> dict:
-        rec = self.coeffs.to_record()
-        rec["t"] = self.t
-        rec["calib"] = self.calibration.to_record()
-        return rec
+    def __post_init__(self):
+        if isinstance(self.coeffs, GaussianCoefficients):
+            object.__setattr__(self, "coeffs", PairCoefficients.from_dense(
+                self.coeffs, self.space.negation))
 
 
 def raw_pair_coefficients(space: ModeSpace,
@@ -119,8 +124,8 @@ def advance(state: EvolutionState, dt: float) -> EvolutionState:
     if dt < 0:
         raise ValueError("dt must be >= 0; backward evolution is not supported")
     phase = np.exp(-1j * state.space.frequencies * dt)
-    g = GaussianCoefficients(state.coeffs.a, phase * state.coeffs.b, state.coeffs.c)
-    return EvolutionState(state.space, state.t + dt, state.v_hat, g, state.calibration)
+    g = replace(state.coeffs, b=phase * state.coeffs.b)
+    return replace(state, t=state.t + dt, coeffs=g)
 
 
 def calibrate(space: ModeSpace, conv: KernelConvention = DEFAULT_CONVENTION,

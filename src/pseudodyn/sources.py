@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import GaussianCoefficients
+from .gaussian import PairCoefficients
 from .modespace import ModeSpace, ModeVector
 from .propagator import DEFAULT_CONVENTION, KernelConvention, feynman_kernel_closed
 
@@ -197,16 +197,16 @@ class ZExponent:
         """uv/uu per mode; modulus 1 whenever the drive is absent."""
         return self.uv / self.uu
 
-    def gaussian_in_u(self, v_hat: ModeVector) -> GaussianCoefficients:
-        """Read the exponent as a Gaussian in u with the v layer contracted."""
-        n = self.space.num_modes
+    def gaussian_in_u(self, v_hat: ModeVector) -> PairCoefficients:
+        """Read the exponent as a Gaussian in u with the v layer contracted.
+
+        The u-u coefficients uu_k are the pairings A_{k,-k} as they stand.
+        """
         neg = self.space.negation
         v = v_hat.values
-        a = np.zeros((n, n), dtype=complex)
-        a[np.arange(n), neg] = self.uu
         b = 2.0 * self.uv * v[neg] + self.lin_u
         c = (self.vv * v * v[neg]).sum() + (self.lin_v * v).sum() + self.const
-        return GaussianCoefficients(a, b, c)
+        return PairCoefficients(self.uu, b, c, neg)
 
     def to_record(self) -> dict:
         def split(x):

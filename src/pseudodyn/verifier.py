@@ -13,15 +13,34 @@ the Gaussian exponent) and spot-checked numerically second:
 
 The Hamiltonian pairing signs depend on an unstated spatial transform
 convention, so both are tried and the passing pair recorded.
+
+States carry A in pair form (a_k = A_{k,-k}, see gaussian.PairCoefficients),
+so both identities are per-mode closed forms and no check builds an N x N
+array.  The residual polynomials are supported on the pairings, Q2 as
+Q2_k u_k u_{-k}.  First order: Q2_k = 1 - 2 omega_k a_k and Q1 = 0.  With
+g_k = c_sign h^2 omega_k^2 / 2, H Phi / Phi has
+
+    Q2_k = 4 a_k^2 g_k + q_sign/2,   Q1_k = 4 a_k g_k b_k,
+    Q0 = sum_k b_k g_k b_{-k} + sum_k 2 a_k g_k.
+
+The dense operators gaussian.apply_first_order / apply_second_order give the
+same polynomials and are the reference the tests compare against.
+
+The finite-difference column re-derives i dPhi/dT / Phi from neighbours
+rebuilt from the kernel, in the log domain: expm1 of S(T +/- dt) - S(T),
+differenced coefficient by coefficient, so no exponent is exponentiated
+whole and a large |Re S| cannot overflow.  The stencil's error goes as
+(omega dt)^2, so the default step is 3e-4 / omega_max and follows the
+lattice cutoff.  Below T = dt, where T - dt has no source construction, a
+one-sided second-order stencil on T, T + dt, T + 2 dt replaces the central
+one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .gaussian import (GaussianCoefficients, QuadraticPolynomial,
-                       apply_first_order, apply_second_order, evaluate,
-                       gradient_at)
+from .gaussian import GaussianCoefficients, evaluate, gradient_at
 from .modespace import ModeSpace, ModeVector
 from .propagator import DEFAULT_CONVENTION, KernelConvention
 from .pseudodynamics import EvolutionState, advance, evolution_functional
@@ -32,6 +51,8 @@ __all__ = ["first_order_residual", "schrodinger_residual",
            "sample_mode_amplitudes"]
 
 _FD_FLOOR = 1e-300
+# default FD step is this phase over the highest lattice frequency
+_FD_PHASE_STEP = 3e-4
 
 
 def sample_mode_amplitudes(n_modes: int, n_samples: int, seed: int = 0,
@@ -42,29 +63,49 @@ def sample_mode_amplitudes(n_modes: int, n_samples: int, seed: int = 0,
                     + 1j * rng.uniform(-1.0, 1.0, (n_samples, n_modes)))
 
 
-def _pairing_matrix(space: ModeSpace, diag: np.ndarray) -> np.ndarray:
-    """Matrix supported on the (k, -k) pairings with the given per-mode entries."""
-    n = space.num_modes
-    m = np.zeros((n, n), dtype=complex)
-    m[np.arange(n), space.negation] = diag
-    return m
+def _pair_values(q2: np.ndarray, q1: np.ndarray, us: np.ndarray,
+                 uu: np.ndarray) -> np.ndarray:
+    """sum_k q2_k u_k u_{-k} + q1.u for each sample row u of us.
 
-
-def _time_shifted(state: EvolutionState, dt: float) -> GaussianCoefficients:
-    """Coefficients at horizon T + dt, rebuilt from the kernel when possible.
-
-    Rebuilding keeps the finite-difference time derivative independent of
-    the phase law under test; only a shift below T = 0 (where the source
-    construction is undefined) falls back to the analytic phase rotation.
+    uu holds the pair products u_k u_{-k} of the same rows.
     """
-    t_new = state.t + dt
-    if t_new >= 0:
-        conv = KernelConvention(sigma=state.calibration.sigma)
-        return evolution_functional(state.space, state.v_hat, t_new, conv,
-                                    state.calibration).coeffs
-    phase = np.exp(-1j * state.space.frequencies * dt)
-    return GaussianCoefficients(state.coeffs.a, phase * state.coeffs.b,
-                                state.coeffs.c)
+    return uu @ q2 + us @ q1
+
+
+def _fd_log_derivative(state: EvolutionState, us: np.ndarray,
+                       uu: np.ndarray, dt: float) -> np.ndarray:
+    """(dPhi/dT) / Phi at each sample, by finite differences of S.
+
+    Every neighbour is rebuilt from the kernel, so the derivative is
+    independent of the phase law under test.
+    """
+    g = state.coeffs
+    conv = KernelConvention(sigma=state.calibration.sigma)
+
+    def growth(step):
+        """Phi(T + step, u) / Phi(T, u) - 1."""
+        n = evolution_functional(state.space, state.v_hat, state.t + step,
+                                 conv, state.calibration).coeffs
+        return np.expm1(_pair_values(n.a_pair - g.a_pair, n.b - g.b, us, uu)
+                        + (n.c - g.c))
+
+    if state.t >= dt:
+        return (growth(dt) - growth(-dt)) / (2.0 * dt)
+    return (4.0 * growth(dt) - growth(2.0 * dt)) / (2.0 * dt)
+
+
+def _fd_residual(fd_ratio: np.ndarray, target: np.ndarray) -> float:
+    """Worst |fd/Phi - target| / max(1, |target|) over the samples."""
+    return float(np.max(np.abs(fd_ratio - target)
+                        / np.maximum(1.0, np.abs(target))))
+
+
+def _fd_samples(ms: ModeSpace, u_samples: int, seed: int, u_scale: float,
+                dt_step: float | None):
+    """The u samples with their pair products, and the FD step to use."""
+    us = sample_mode_amplitudes(ms.num_modes, u_samples, seed, u_scale)
+    dt = _FD_PHASE_STEP / float(ms.frequencies.max()) if dt_step is None else dt_step
+    return us, us * us[:, ms.negation], dt
 
 
 def _base_params(state: EvolutionState, seed: int) -> dict:
@@ -78,49 +119,44 @@ def _base_params(state: EvolutionState, seed: int) -> dict:
     }
 
 
+def _first_order_rhs(state: EvolutionState) -> tuple[np.ndarray, np.ndarray]:
+    """Pair-form (Q2, Q1) of sum_k u_k (omega_k d/du_k - u_{-k}) Phi / Phi."""
+    w = state.space.frequencies
+    return 2.0 * w * state.coeffs.a_pair - 1.0, w * state.coeffs.b
+
+
 def first_order_residual(state: EvolutionState, tol_coeff: float = 1e-12,
                          tol_numeric: float = 1e-6, u_samples: int = 16,
-                         dt_step: float = 1e-4, seed: int = 0,
+                         dt_step: float | None = None, seed: int = 0,
                          u_scale: float = 1.0) -> ResidualReport:
     """Residual of i dPhi/dT = sum_k u_k (omega_k d/du_k - u_{-k}) Phi.
 
     The time derivative on the left is taken analytically from the exact
-    coefficient laws (dA/dT = 0, i db_k/dT = omega_k b_k, dc/dT = 0); the
-    finite-difference column then independently checks those laws against
-    evaluate() on freshly built neighbors at T +/- dt_step.  The verdict is
-    invariant under a common rescaling of the numeric u samples (u_scale).
+    coefficient laws (dA/dT = 0, i db_k/dT = omega_k b_k, dc/dT = 0), whose
+    Q1 = omega b cancels the right side's exactly; the finite-difference
+    column then independently checks those laws against freshly built
+    neighbors at step dt_step (default 3e-4 / omega_max, recorded in
+    params).  The verdict is invariant under a common rescaling of the
+    numeric u samples (u_scale).
     """
     ms = state.space
-    w = ms.frequencies
-    g = state.coeffs
-    lhs = QuadraticPolynomial(np.zeros((ms.num_modes,) * 2, dtype=complex),
-                              w * g.b, 0.0)
-    rhs = apply_first_order(g, w, shift=-_pairing_matrix(ms, np.ones(ms.num_modes)))
-    resid = lhs - rhs
+    rhs_q2, rhs_q1 = _first_order_rhs(state)
+    max_q2 = float(np.max(np.abs(rhs_q2)))
 
-    us = sample_mode_amplitudes(ms.num_modes, u_samples, seed, u_scale)
-    g_plus = _time_shifted(state, dt_step)
-    g_minus = _time_shifted(state, -dt_step)
-    fd_max = 0.0
-    for u in us:
-        phi0 = evaluate(g, u)
-        fd = 1j * (evaluate(g_plus, u) - evaluate(g_minus, u)) / (2.0 * dt_step)
-        rhs_ratio = rhs.value_at(u)
-        scale = abs(phi0) * max(1.0, abs(rhs_ratio))
-        fd_max = max(fd_max, abs(fd - rhs_ratio * phi0) / max(scale, _FD_FLOOR))
+    us, uu, dt = _fd_samples(ms, u_samples, seed, u_scale, dt_step)
+    fd_max = _fd_residual(1j * _fd_log_derivative(state, us, uu, dt),
+                          _pair_values(rhs_q2, rhs_q1, us, uu))
 
-    achieved_c2 = 2.0 * w * g.a[np.arange(ms.num_modes), ms.negation]
     params = _base_params(state, seed)
     params.update({
-        "dt_step": dt_step, "u_samples": u_samples,
+        "dt_step": dt, "u_samples": u_samples,
         "achieved_c1": 1.0,
-        "achieved_c2": complex(achieved_c2.mean()),
+        "achieved_c2": complex((2.0 * ms.frequencies * state.coeffs.a_pair).mean()),
     })
-    ok = (resid.max_abs_q2 < tol_coeff and resid.max_abs_q1 < tol_coeff
-          and abs(resid.q0) < tol_coeff and fd_max < tol_numeric)
+    ok = max_q2 < tol_coeff and fd_max < tol_numeric
     return ResidualReport(
         identity="first_order_evolution",
-        max_q2=resid.max_abs_q2, max_q1=resid.max_abs_q1, q0=resid.q0,
+        max_q2=max_q2, max_q1=0.0, q0=0j,
         fd_residual=fd_max,
         params=params,
         tolerances={"coeff": tol_coeff, "numeric": tol_numeric},
@@ -128,27 +164,33 @@ def first_order_residual(state: EvolutionState, tol_coeff: float = 1e-12,
     )
 
 
-def _hamiltonian_polynomial(state: EvolutionState, q_sign: int,
-                            c_sign: int) -> QuadraticPolynomial:
+def _hamiltonian(state: EvolutionState, q_sign: int, c_sign: int):
+    """Pair-form (Q2, Q1, g) of H Phi / Phi, g_k the curvature coefficient."""
     ms = state.space
     w = ms.frequencies
     h = ms.hbar
-    potential = _pairing_matrix(ms, np.full(ms.num_modes, 0.5 * q_sign))
-    curvature = _pairing_matrix(ms, 0.5 * c_sign * h * h * w * w)
-    return apply_second_order(state.coeffs, curvature, potential)
+    g = 0.5 * c_sign * h * h * w * w
+    a2 = 2.0 * state.coeffs.a_pair
+    return a2 * g * a2 + 0.5 * q_sign, 2.0 * (a2 * (g * state.coeffs.b)), g
+
+
+def _hamiltonian_q0_parts(state: EvolutionState, g: np.ndarray) -> tuple[complex, complex]:
+    """The b-layer part sum_k b_k g_k b_{-k} and the trace part sum_k 2 a_k g_k
+    of the constant of H Phi / Phi."""
+    b = state.coeffs.b
+    return (complex(np.sum(b * g * b[state.space.negation])),
+            complex(np.sum(2.0 * state.coeffs.a_pair * g)))
 
 
 def resolve_hamiltonian_signs(state: EvolutionState) -> tuple[int, int]:
     """Pick the pairing signs that zero the judged Schrodinger residuals."""
     ms = state.space
-    w = ms.frequencies
-    lhs = QuadraticPolynomial(np.zeros((ms.num_modes,) * 2, dtype=complex),
-                              ms.hbar * w * state.coeffs.b, 0.0)
+    lhs_q1 = ms.hbar * ms.frequencies * state.coeffs.b
     best, best_resid = (1, -1), np.inf
     for q_sign in (1, -1):
         for c_sign in (1, -1):
-            r = lhs - _hamiltonian_polynomial(state, q_sign, c_sign)
-            m = max(r.max_abs_q2, r.max_abs_q1)
+            h_q2, h_q1, _ = _hamiltonian(state, q_sign, c_sign)
+            m = max(np.max(np.abs(h_q2)), np.max(np.abs(lhs_q1 - h_q1)))
             if m < best_resid:
                 best, best_resid = (q_sign, c_sign), m
     return best
@@ -156,7 +198,7 @@ def resolve_hamiltonian_signs(state: EvolutionState) -> tuple[int, int]:
 
 def schrodinger_residual(state: EvolutionState, tol_coeff: float = 1e-10,
                          tol_spread: float = 1e-9, tol_numeric: float = 1e-6,
-                         u_samples: int = 16, dt_step: float = 1e-4,
+                         u_samples: int = 16, dt_step: float | None = None,
                          seed: int = 0, u_scale: float = 1.0,
                          signs: tuple[int, int] | None = None) -> ResidualReport:
     """Residual of the normally ordered Schrodinger form, up to a T function.
@@ -164,52 +206,43 @@ def schrodinger_residual(state: EvolutionState, tol_coeff: float = 1e-10,
     Q2 and Q1 of (i h d/dT - H) Phi / Phi are judged; the constant Q0 is
     reported as the recovered T function.  The numeric spread column checks
     u-independence of the sampled residual; the fd column re-derives the
-    time derivative by central differences.  With the first-order
+    time derivative by finite differences at step dt_step (default
+    3e-4 / omega_max, recorded in params).  With the first-order
     calibration this mode form closes only at unit hbar.
     """
     ms = state.space
-    w = ms.frequencies
     h = ms.hbar
     if signs is None:
         signs = resolve_hamiltonian_signs(state)
     q_sign, c_sign = signs
-    n = ms.num_modes
-    lhs = QuadraticPolynomial(np.zeros((n, n), dtype=complex), h * w * state.coeffs.b, 0.0)
-    h_poly = _hamiltonian_polynomial(state, q_sign, c_sign)
-    resid = lhs - h_poly
+    h_q2, h_q1, g = _hamiltonian(state, q_sign, c_sign)
+    resid_q1 = h * ms.frequencies * state.coeffs.b - h_q1
+    max_q2 = float(np.max(np.abs(h_q2)))
+    max_q1 = float(np.max(np.abs(resid_q1)))
 
     # normal-ordering split of the constant: Q0 = -(b^T C b + tr(2A C))
-    curvature = _pairing_matrix(ms, 0.5 * c_sign * h * h * w * w)
-    q0_b_part = complex(state.coeffs.b @ curvature @ state.coeffs.b)
-    q0_trace = complex(np.trace(2.0 * state.coeffs.a @ curvature))
-    trace_gap = abs(resid.q0 + q0_b_part + q0_trace)
+    q0_b_part, q0_trace = _hamiltonian_q0_parts(state, g)
+    resid_q0 = -(q0_b_part + q0_trace)
+    trace_gap = abs(resid_q0 + q0_b_part + q0_trace)
 
-    us = sample_mode_amplitudes(n, u_samples, seed, u_scale)
-    q0_scale = max(1.0, abs(resid.q0))
-    spread = max(abs(resid.value_at(u) - resid.q0) for u in us) / q0_scale
-
-    g_plus = _time_shifted(state, dt_step)
-    g_minus = _time_shifted(state, -dt_step)
-    fd_max = 0.0
-    for u in us:
-        phi0 = evaluate(state.coeffs, u)
-        fd = 1j * h * (evaluate(g_plus, u) - evaluate(g_minus, u)) / (2.0 * dt_step)
-        target_ratio = h_poly.value_at(u) + resid.q0
-        scale = abs(phi0) * max(1.0, abs(target_ratio))
-        fd_max = max(fd_max, abs(fd - target_ratio * phi0) / max(scale, _FD_FLOOR))
+    us, uu, dt = _fd_samples(ms, u_samples, seed, u_scale, dt_step)
+    spread = (float(np.max(np.abs(_pair_values(-h_q2, resid_q1, us, uu))))
+              / max(1.0, abs(resid_q0)))
+    fd_max = _fd_residual(1j * h * _fd_log_derivative(state, us, uu, dt),
+                          _pair_values(h_q2, h_q1, us, uu))
 
     params = _base_params(state, seed)
     params.update({
-        "dt_step": dt_step, "u_samples": u_samples,
+        "dt_step": dt, "u_samples": u_samples,
         "q_sign": q_sign, "c_sign": c_sign,
         "q0_b_part": q0_b_part, "q0_trace": q0_trace,
         "trace_identity_gap": trace_gap,
     })
-    ok = (resid.max_abs_q2 < tol_coeff and resid.max_abs_q1 < tol_coeff
+    ok = (max_q2 < tol_coeff and max_q1 < tol_coeff
           and spread < tol_spread and fd_max < tol_numeric)
     return ResidualReport(
         identity="schrodinger_normal_ordered",
-        max_q2=resid.max_abs_q2, max_q1=resid.max_abs_q1, q0=resid.q0,
+        max_q2=max_q2, max_q1=max_q1, q0=resid_q0,
         numeric_spread=spread, fd_residual=fd_max,
         params=params,
         tolerances={"coeff": tol_coeff, "spread": tol_spread,
@@ -248,7 +281,7 @@ def semigroup_check(space: ModeSpace, v_hat: ModeVector, partition,
     for p in parts:
         state = advance(state, p)
     direct = evolution_functional(space, v_hat, total, conv, calibration)
-    dev_a = np.max(np.abs(state.coeffs.a - direct.coeffs.a))
+    dev_a = np.max(np.abs(state.coeffs.a_pair - direct.coeffs.a_pair))
     dev_b = np.max(np.abs(state.coeffs.b - direct.coeffs.b))
     dev_c = abs(state.coeffs.c - direct.coeffs.c)
     return float(max(dev_a, dev_b, dev_c))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pseudodyn import (ConventionCalibration, ModeVector, advance,
+from pseudodyn import (ConventionCalibration, EvolutionState,
+                       GaussianCoefficients, ModeVector, advance,
                        build_mode_space, calibrate, delta_pair_source,
                        evolution_functional, raw_pair_coefficients,
                        z_exponent)
@@ -123,11 +124,15 @@ def test_calibration_validation():
         ConventionCalibration(lambda_=1.0, sigma=3)
 
 
-def test_state_record_serialization(ms):
-    calib = calibrate(ms)
-    st = evolution_functional(ms, unit_random(ms, 5), 1.25, calibration=calib)
-    rec = st.to_record()
-    assert rec["t"] == 1.25
-    assert rec["calib"]["lambda_im"] == pytest.approx(np.sqrt(2.0))
-    assert rec["calib"]["sigma"] == 1
-    assert len(rec["b_re"]) == ms.num_modes
+
+def test_state_rejects_a_off_the_pairings(ms):
+    st = evolution_functional(ms, unit_random(ms, 5), 1.0)
+    a = st.coeffs.a.copy()
+    assert ms.negation[0] != 1
+    a[0, 1] = a[1, 0] = 1e-3
+    dense = GaussianCoefficients(a, st.coeffs.b, st.coeffs.c)
+    with pytest.raises(ValueError, match="off the"):
+        EvolutionState(ms, st.t, st.v_hat, dense, st.calibration)
+    paired = GaussianCoefficients(st.coeffs.a, st.coeffs.b, st.coeffs.c)
+    kept = EvolutionState(ms, st.t, st.v_hat, paired, st.calibration)
+    assert np.array_equal(kept.coeffs.a_pair, st.coeffs.a_pair)

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pseudodyn.verifier as verifier
 from pseudodyn import (GaussianCoefficients, EvolutionState, ModeVector,
-                       build_mode_space, calibrate, evolution_functional,
-                       first_order_residual, gradient_check,
+                       apply_first_order, apply_second_order,
+                       build_mode_space, calibrate, evaluate,
+                       evolution_functional, first_order_residual,
+                       gradient_check, log_evaluate,
                        resolve_hamiltonian_signs, schrodinger_residual,
                        semigroup_check)
+from pseudodyn.verifier import sample_mode_amplitudes
 
 
 @pytest.fixture
@@ -171,3 +177,99 @@ def test_report_json_round_trip(state):
     assert payload["identity"] == "first_order_evolution"
     assert payload["verdict"] == "pass"
     assert payload["params"]["seed"] == 0
+
+
+def _calibrated(n, mass, box, t, seed=99):
+    ms = build_mode_space(n, box, mass)
+    vec = ModeVector.random(ms, np.random.default_rng(seed))
+    v = ModeVector(ms, vec.values / np.linalg.norm(vec.values))
+    return evolution_functional(ms, v, t, calibration=calibrate(ms))
+
+
+def _pairing(space, diag):
+    m = np.zeros((space.num_modes,) * 2, dtype=complex)
+    m[np.arange(space.num_modes), space.negation] = diag
+    return m
+
+
+def _assert_close(pair, dense, tol=1e-15):
+    assert np.all(np.abs(pair - dense) <= tol * np.maximum(1.0, np.abs(dense)))
+
+
+def _assert_pair_form_matches_dense(state):
+    """Per-mode closed forms of the verifier against the dense reference."""
+    ms = state.space
+    dense = GaussianCoefficients(state.coeffs.a, state.coeffs.b, state.coeffs.c)
+    w = ms.frequencies
+    ref = apply_first_order(dense, w, shift=-_pairing(ms, np.ones(ms.num_modes)))
+    q2, q1 = verifier._first_order_rhs(state)
+    _assert_close(_pairing(ms, q2), ref.q2)
+    _assert_close(q1, ref.q1)
+    assert ref.q0 == 0.0
+    for q_sign in (1, -1):
+        for c_sign in (1, -1):
+            q2, q1, g = verifier._hamiltonian(state, q_sign, c_sign)
+            ref = apply_second_order(dense, _pairing(ms, g),
+                                     _pairing(ms, np.full(ms.num_modes, 0.5 * q_sign)))
+            _assert_close(_pairing(ms, q2), ref.q2)
+            _assert_close(q1, ref.q1)
+            _assert_close(sum(verifier._hamiltonian_q0_parts(state, g)), ref.q0)
+
+
+def test_pair_form_matches_dense_algebra_on_acceptance_grid():
+    for n in (2, 8, 16, 64):
+        for mass in (0.5, 1.0, 2.0):
+            for t in (0.1, 1.0, 10.0):
+                _assert_pair_form_matches_dense(_calibrated(n, mass, 2 * np.pi, t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 48).map(lambda h: 2 * h),
+       mass=st.floats(0.05, 5.0), box=st.floats(0.5, 50.0),
+       t=st.floats(0.0, 50.0), seed=st.integers(0, 2**16))
+def test_pair_form_matches_dense_algebra_property(n, mass, box, t, seed):
+    _assert_pair_form_matches_dense(_calibrated(n, mass, box, t, seed))
+
+
+def test_default_fd_step_follows_lattice_at_n512():
+    state = _calibrated(512, 1.0, 2 * np.pi, 1.0)
+    for report in (first_order_residual(state), schrodinger_residual(state)):
+        assert report.passed, report.summary_line()
+        assert report.params["dt_step"] == 3e-4 / state.space.frequencies.max()
+
+
+def test_identity_checks_pass_at_n65536():
+    state = _calibrated(65536, 1.0, 2 * np.pi, 1.0, seed=1)
+    assert first_order_residual(state).passed
+    assert schrodinger_residual(state).passed
+
+
+def test_fd_column_survives_exponent_overflow(state):
+    scale = 30.0
+    us = sample_mode_amplitudes(state.space.num_modes, 16, 0, scale)
+    worst = max(us, key=lambda u: abs(log_evaluate(state.coeffs, u).real))
+    with pytest.raises(OverflowError):
+        evaluate(state.coeffs, worst)
+    for check in (first_order_residual, schrodinger_residual):
+        big = check(state, u_scale=scale)
+        ref = check(state)
+        assert np.isfinite(big.fd_residual)
+        assert (big.max_q2, big.max_q1, big.q0) == (ref.max_q2, ref.max_q1, ref.q0)
+
+
+def test_one_sided_stencil_at_t_zero(state, monkeypatch):
+    st0 = evolution_functional(state.space, state.v_hat, 0.0,
+                               calibration=state.calibration)
+    built = []
+
+    def recording(space, v_hat, t, *args):
+        built.append(t)
+        return evolution_functional(space, v_hat, t, *args)
+
+    monkeypatch.setattr(verifier, "evolution_functional", recording)
+    for check in (first_order_residual, schrodinger_residual):
+        built.clear()
+        report = check(st0)
+        assert report.passed, report.summary_line()
+        dt = report.params["dt_step"]
+        assert built == [dt, 2.0 * dt]
