@@ -8,10 +8,10 @@ from .gaussian import (GaussianCoefficients, PairCoefficients,
                        QuadraticPolynomial, apply_first_order,
                        apply_second_order, evaluate, gradient_at,
                        log_evaluate, rescale)
-from .modespace import ModeSpace, ModeVector, build_mode_space, mode_frequency
-from .propagator import (KernelConvention, PoleResolutionError,
-                         feynman_kernel_closed, feynman_kernel_quadrature,
-                         richardson_kernel, truncation_tail)
+from .modespace import ModeSpace, ModeVector, build_mode_space
+from .propagator import (PoleResolutionError, feynman_kernel_closed,
+                         feynman_kernel_quadrature, richardson_kernel,
+                         truncation_tail)
 from .pseudodynamics import (ConventionCalibration, EvolutionState, advance,
                              calibrate, evolution_functional,
                              raw_pair_coefficients)

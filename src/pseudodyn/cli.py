@@ -58,23 +58,35 @@ class RunConfig:
     qm_omega: float = 1.0
     drive_file: str | None = None
 
-    def validate(self):
-        if self.modes < 2 or self.modes % 2:
-            raise ConfigError(f"modes: must be a positive even integer, got {self.modes}")
-        if self.mass <= 0:
-            raise ConfigError(f"mass: must be positive, got {self.mass}")
-        if self.box_length <= 0:
-            raise ConfigError(f"box_length: must be positive, got {self.box_length}")
-        if self.hbar <= 0:
-            raise ConfigError(f"hbar: must be positive, got {self.hbar}")
+    def validate(self, command: str):
+        """Build everything ``command`` will build from this config.
+
+        Any ValueError, TypeError, IndexError or OSError on the way becomes
+        a ConfigError naming the keys involved, so bad input is refused
+        before a run starts.
+        """
         for name in ("tol_coeff", "tol_numeric", "tol_schrodinger", "tol_spread",
                      "tol_kernel_coincident", "tol_kernel_gap", "tol_bridge"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name}: tolerance must be positive")
-        if self.time is not None and self.time < 0:
-            raise ConfigError(f"time: must be nonnegative, got {self.time}")
-        if not self.v_spec.startswith(("zero", "random", "single:")):
-            raise ConfigError(f"v_spec: unknown preset {self.v_spec!r}")
+            _checked(name, lambda: _require(getattr(self, name) > 0, "must be positive"))
+        _checked("time", lambda: _require(self.time is None or self.time >= 0,
+                                          f"must be nonnegative, got {self.time}"))
+        space = _checked("modes, box_length, mass, hbar", lambda: _mode_space(self))
+        _checked("v_spec, seed", lambda: _initial_layer(self, space))
+        if command == "oracle-qm":
+            _checked("qm_q_min, qm_q_max, qm_points, qm_dt, qm_omega, hbar",
+                     lambda: _qm_grid(self, self.qm_omega))
+            for k in _BRIDGE_MODES:
+                _checked(f"mode bridge grid at k={k} (from modes, box_length, mass)",
+                         lambda: _qm_grid(self, space.frequency(k)))
+            if self.drive_file:
+                _checked("drive_file", lambda: qm_drive_from_csv(self.drive_file))
+        if command == "sweep":
+            for n in self.sweep_modes:
+                for m in self.sweep_masses:
+                    _checked("sweep_modes, sweep_masses",
+                             lambda: _sweep_space(self, n, m))
+            _checked("sweep_times", lambda: _require(
+                all(float(t) >= 0 for t in self.sweep_times), "must be nonnegative"))
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -91,18 +103,46 @@ class RunConfig:
         return cfg
 
 
+# lattice modes whose oscillators the oracle-qm mode bridge checks
+_BRIDGE_MODES = (0, 1)
+
+
+def _require(ok: bool, message: str):
+    if not ok:
+        raise ValueError(message)
+
+
+def _checked(keys: str, build):
+    """build(), with any construction error re-raised as a ConfigError."""
+    try:
+        return build()
+    except (ValueError, TypeError, IndexError, OSError) as err:
+        raise ConfigError(f"{keys}: {err}") from err
+
+
 def _mode_space(cfg: RunConfig) -> ModeSpace:
     return build_mode_space(cfg.modes, cfg.box_length, cfg.mass, cfg.hbar)
+
+
+def _sweep_space(cfg: RunConfig, n, mass) -> ModeSpace:
+    return build_mode_space(int(n), cfg.box_length, float(mass), cfg.hbar)
+
+
+def _qm_grid(cfg: RunConfig, omega: float) -> QMGrid:
+    return QMGrid(cfg.qm_q_min, cfg.qm_q_max, cfg.qm_points, cfg.qm_dt, omega,
+                  cfg.hbar)
 
 
 def _initial_layer(cfg: RunConfig, space: ModeSpace) -> ModeVector:
     spec = cfg.v_spec
     if spec == "zero":
         return ModeVector.zeros(space)
-    if spec.startswith("single:"):
+    if spec == "random":
+        vec = ModeVector.random(space, np.random.default_rng(cfg.seed))
+        return ModeVector(space, vec.values / np.linalg.norm(vec.values))
+    if isinstance(spec, str) and spec.startswith("single:"):
         return ModeVector.basis(space, int(spec.split(":", 1)[1]))
-    vec = ModeVector.random(space, np.random.default_rng(cfg.seed))
-    return ModeVector(space, vec.values / np.linalg.norm(vec.values))
+    raise ValueError(f"unknown preset {spec!r}")
 
 
 def _write_json(path: Path, payload: dict):
@@ -196,8 +236,7 @@ def _kernel_csv_rows(p0s, ps, lhs, rhs):
 
 def _cmd_oracle_qm(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out)
-    grid = QMGrid(cfg.qm_q_min, cfg.qm_q_max, cfg.qm_points, cfg.qm_dt, cfg.qm_omega,
-                  cfg.hbar)
+    grid = _qm_grid(cfg, cfg.qm_omega)
     boundary = BoundaryFactors.vacuum(grid)
     p0s = np.linspace(-3.0, 3.0, 32)
     ps = np.linspace(-3.0, 3.0, 32)
@@ -231,9 +270,9 @@ def _cmd_oracle_qm(cfg: RunConfig) -> int:
     space = _mode_space(cfg)
     calib = calibrate(space)
     bridge = {}
-    for k in (0, 1):
+    for k in _BRIDGE_MODES:
         om = space.frequency(k)
-        g = QMGrid(cfg.qm_q_min, cfg.qm_q_max, cfg.qm_points, cfg.qm_dt, om, cfg.hbar)
+        g = _qm_grid(cfg, om)
         b = BoundaryFactors.vacuum(g)
         c_a = cross_coefficient_solver(g, b, 1.0, 1.0, 0.0, 0.5)
         c_b = cross_coefficient_solver(g, b, 1.0, 1.0, 0.0, 1.0)
@@ -261,7 +300,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     all_ok = True
     for n in cfg.sweep_modes:
         for m in cfg.sweep_masses:
-            space = build_mode_space(int(n), cfg.box_length, float(m), cfg.hbar)
+            space = _sweep_space(cfg, n, m)
             calib = calibrate(space)
             vec = ModeVector.random(space, np.random.default_rng(cfg.seed))
             v_hat = ModeVector(space, vec.values / np.linalg.norm(vec.values))
@@ -323,7 +362,7 @@ def main(argv=None) -> int:
             value = getattr(args, name)
             if value is not None:
                 setattr(cfg, name, value)
-        cfg.validate()
+        cfg.validate(args.command)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -90,22 +90,6 @@ class GaussianCoefficients:
     def dim(self) -> int:
         return self.a.shape[0]
 
-    def to_record(self) -> dict:
-        return {
-            "a_re": self.a.real.tolist(),
-            "a_im": self.a.imag.tolist(),
-            "b_re": self.b.real.tolist(),
-            "b_im": self.b.imag.tolist(),
-            "c_re": self.c.real,
-            "c_im": self.c.imag,
-        }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "GaussianCoefficients":
-        a = np.array(record["a_re"]) + 1j * np.array(record["a_im"])
-        b = np.array(record["b_re"]) + 1j * np.array(record["b_im"])
-        return cls(a, b, record["c_re"] + 1j * record["c_im"])
-
 
 @dataclass(frozen=True)
 class PairCoefficients:

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["ModeSpace", "ModeVector", "build_mode_space", "mode_frequency"]
+__all__ = ["ModeSpace", "ModeVector", "build_mode_space"]
 
 
 @dataclass(frozen=True)
@@ -117,11 +117,6 @@ def build_mode_space(num_modes: int, box_length: float, mass: float,
                      hbar: float = 1.0) -> ModeSpace:
     """Construct a validated ModeSpace (momenta and frequencies populated)."""
     return ModeSpace(num_modes=num_modes, box_length=box_length, mass=mass, hbar=hbar)
-
-
-def mode_frequency(space: ModeSpace, k: int) -> float:
-    """sqrt(p_k^2 + m^2) for an in-range mode index k."""
-    return space.frequency(k)
 
 
 @dataclass(frozen=True)

@@ -8,21 +8,20 @@ in the limit eps -> 0+, which contour evaluation gives as
 
     D(tau; omega) = -(i / (2 omega)) * e^{-i omega |tau|},
 
-independent of the transform sign sigma.  The quadrature path evaluates the
-regularized integral on a graded mesh (dense panels around the poles at
-E = +/-omega, a coarser backbone elsewhere) and exists only to check the
-closed form; the closed form never takes eps as an argument.
+independent of the transform sign sigma in {+1, -1}.  The quadrature path
+evaluates the regularized integral on a graded mesh (dense panels around
+the poles at E = +/-omega, a coarser backbone elsewhere) and exists only to
+check the closed form; the closed form never takes eps as an argument.
+sigma is therefore an argument of the quadrature oracle alone, the one
+place it enters an integrand.  The 1/(2pi) normalization is fixed.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 
 __all__ = [
-    "KernelConvention",
     "PoleResolutionError",
     "feynman_kernel_closed",
     "feynman_kernel_quadrature",
@@ -31,33 +30,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KernelConvention:
-    """Energy-transform sign convention, sigma in {+1, -1}.
-
-    The 1/(2pi) normalization of the energy integral is fixed by the module
-    and is not a degree of freedom.
-    """
-
-    sigma: int = 1
-
-    def __post_init__(self):
-        if self.sigma not in (1, -1):
-            raise ValueError(f"sigma must be +1 or -1, got {self.sigma}")
-
-
-DEFAULT_CONVENTION = KernelConvention()
-
-
 class PoleResolutionError(ValueError):
     """Raised when a quadrature grid cannot resolve the pole region."""
 
 
-def feynman_kernel_closed(omega, tau, conv: KernelConvention = DEFAULT_CONVENTION):
+def feynman_kernel_closed(omega, tau):
     """Exact eps -> 0+ kernel, -(i/(2 omega)) e^{-i omega |tau|}.
 
     Accepts scalars or arrays (broadcast); omega must be strictly positive.
-    The value depends on |tau| only, so it is independent of conv.sigma.
+    The value depends on |tau| only, so the transform sign never enters.
     """
     w = np.asarray(omega, dtype=float)
     if np.any(w <= 0):
@@ -95,8 +76,10 @@ def _mesh_points(segments) -> int:
 
 def feynman_kernel_quadrature(omega: float, tau: float, eps: float, e_cut: float,
                               n_points: int = 2_000_000,
-                              conv: KernelConvention = DEFAULT_CONVENTION) -> complex:
+                              sigma: int = 1) -> complex:
     """Trapezoid estimate of the regularized kernel at finite eps and e_cut.
+
+    sigma in {+1, -1} is the sign of the energy transform e^{sigma i E tau}.
 
     n_points is the caller's point budget.  If it is smaller than the graded
     mesh needs (equivalently, if the implied spacing near E = +/-omega would
@@ -104,6 +87,8 @@ def feynman_kernel_quadrature(omega: float, tau: float, eps: float, e_cut: float
     silently under-resolved value.  Truncation at +/-e_cut is part of the
     definition here; see truncation_tail for the leftover.
     """
+    if sigma not in (1, -1):
+        raise ValueError(f"sigma must be +1 or -1, got {sigma}")
     if omega <= 0:
         raise ValueError("omega must be strictly positive")
     if eps <= 0:
@@ -121,7 +106,7 @@ def feynman_kernel_quadrature(omega: float, tau: float, eps: float, e_cut: float
     for lo, hi, h in segments:
         n = int(np.ceil((hi - lo) / h)) + 1
         grid = np.linspace(lo, hi, n)
-        f = np.exp(1j * conv.sigma * grid * tau) / (grid**2 - omega**2 + 1j * eps)
+        f = np.exp(1j * sigma * grid * tau) / (grid**2 - omega**2 + 1j * eps)
         total += np.trapezoid(f, grid)
     return complex(total / (2.0 * np.pi))
 
@@ -146,7 +131,7 @@ def richardson_kernel(omega: float, tau: float,
                       e_cut: float | None = None,
                       n_points: int = 4_000_000,
                       include_tail: bool = True,
-                      conv: KernelConvention = DEFAULT_CONVENTION) -> complex:
+                      sigma: int = 1) -> complex:
     """Extrapolate the quadrature kernel to eps -> 0.
 
     Polynomial (Richardson) extrapolation in eps of the trapezoid values,
@@ -158,7 +143,7 @@ def richardson_kernel(omega: float, tau: float,
         raise ValueError("need at least two eps values to extrapolate")
     if e_cut is None:
         e_cut = 1e3 * omega
-    vals = [feynman_kernel_quadrature(omega, tau, e, e_cut, n_points, conv)
+    vals = [feynman_kernel_quadrature(omega, tau, e, e_cut, n_points, sigma)
             for e in eps_values]
     # Lagrange extrapolation to eps = 0
     out = 0.0 + 0.0j

@@ -32,7 +32,6 @@ import numpy as np
 
 from .gaussian import GaussianCoefficients, PairCoefficients, rescale
 from .modespace import ModeSpace, ModeVector
-from .propagator import DEFAULT_CONVENTION, KernelConvention
 from .sources import delta_pair_source, z_exponent
 
 __all__ = ["ConventionCalibration", "EvolutionState", "evolution_functional",
@@ -41,28 +40,26 @@ __all__ = ["ConventionCalibration", "EvolutionState", "evolution_functional",
 
 @dataclass(frozen=True)
 class ConventionCalibration:
-    """Global rescaling lambda and transform sign, with the achieved constants.
+    """Global rescaling lambda, with the achieved constants.
 
     (c1, c2) = (1, 1) after a successful calibration; a forced lambda records
-    whatever constants the first-order equation then actually carries.
+    whatever constants the first-order equation then actually carries.  The
+    energy-transform sign is not recorded: the closed-form kernel, and with
+    it every coefficient, is the same for either sign.
     """
 
     lambda_: complex
-    sigma: int = 1
     c1: complex = 1.0
     c2: complex = 1.0
 
     def __post_init__(self):
         if self.lambda_ == 0:
             raise ValueError("lambda must be nonzero")
-        if self.sigma not in (1, -1):
-            raise ValueError("sigma must be +1 or -1")
 
     def to_record(self) -> dict:
         return {
             "lambda_re": complex(self.lambda_).real,
             "lambda_im": complex(self.lambda_).imag,
-            "sigma": self.sigma,
             "c1": complex(self.c1).real if complex(self.c1).imag == 0 else
                   [complex(self.c1).real, complex(self.c1).imag],
             "c2": complex(self.c2).real if complex(self.c2).imag == 0 else
@@ -90,16 +87,14 @@ class EvolutionState:
                 self.coeffs, self.space.negation))
 
 
-def raw_pair_coefficients(space: ModeSpace,
-                          conv: KernelConvention = DEFAULT_CONVENTION) -> np.ndarray:
+def raw_pair_coefficients(space: ModeSpace) -> np.ndarray:
     """Uncalibrated u-u pairing coefficients a_k (proportional to 1/omega_k)."""
     zero = ModeVector.zeros(space)
-    zx = z_exponent(space, delta_pair_source(space, zero, zero, 0.0, 0.0), conv)
+    zx = z_exponent(space, delta_pair_source(space, zero, zero, 0.0, 0.0))
     return zx.uu
 
 
 def evolution_functional(space: ModeSpace, v_hat: ModeVector, t: float,
-                         conv: KernelConvention = DEFAULT_CONVENTION,
                          calibration: ConventionCalibration | None = None) -> EvolutionState:
     """Build Phi(T, .) from the initial layer data v at T0 = 0.
 
@@ -109,12 +104,10 @@ def evolution_functional(space: ModeSpace, v_hat: ModeVector, t: float,
     if t < 0:
         raise ValueError("t must be >= 0; backward construction is not supported")
     if calibration is None:
-        calibration = ConventionCalibration(lambda_=1.0, sigma=conv.sigma,
-                                            c1=1.0, c2=-1.0 / (2.0 * space.hbar))
-    if calibration.sigma != conv.sigma:
-        raise ValueError("calibration and kernel convention disagree on sigma")
+        calibration = ConventionCalibration(lambda_=1.0, c1=1.0,
+                                            c2=-1.0 / (2.0 * space.hbar))
     zx = z_exponent(space, delta_pair_source(space, ModeVector.zeros(space),
-                                             v_hat, t, 0.0), conv)
+                                             v_hat, t, 0.0))
     g = rescale(zx.gaussian_in_u(v_hat), calibration.lambda_)
     return EvolutionState(space, float(t), v_hat, g, calibration)
 
@@ -128,8 +121,7 @@ def advance(state: EvolutionState, dt: float) -> EvolutionState:
     return replace(state, t=state.t + dt, coeffs=g)
 
 
-def calibrate(space: ModeSpace, conv: KernelConvention = DEFAULT_CONVENTION,
-              force_lambda: complex | None = None,
+def calibrate(space: ModeSpace, force_lambda: complex | None = None,
               spread_tol: float = 1e-12) -> ConventionCalibration:
     """Solve for the global rescaling closing the first-order equation.
 
@@ -139,7 +131,7 @@ def calibrate(space: ModeSpace, conv: KernelConvention = DEFAULT_CONVENTION,
     of lambda^2 is taken.  With force_lambda the achieved constants are
     recorded instead of enforced.
     """
-    a_raw = raw_pair_coefficients(space, conv)
+    a_raw = raw_pair_coefficients(space)
     w = space.frequencies
     lam2 = 1.0 / (2.0 * a_raw * w)
     center = lam2.mean()
@@ -159,12 +151,12 @@ def calibrate(space: ModeSpace, conv: KernelConvention = DEFAULT_CONVENTION,
     # lambda); c2 is the calibrated quadratic coefficient 2 omega lambda^2 a.
     c2_modes = 2.0 * w * (lam * lam) * a_raw
     c2 = complex(c2_modes.mean())
-    calib = ConventionCalibration(lambda_=lam, sigma=conv.sigma, c1=1.0, c2=c2)
+    calib = ConventionCalibration(lambda_=lam, c1=1.0, c2=c2)
     if force_lambda is None:
         resid = float(np.max(np.abs(c2_modes - 1.0)))
         if resid > spread_tol:
             raise RuntimeError(
                 f"calibration failed to close the quadratic law (residual {resid:.3e})"
             )
-        calib = ConventionCalibration(lambda_=lam, sigma=conv.sigma, c1=1.0, c2=1.0)
+        calib = ConventionCalibration(lambda_=lam, c1=1.0, c2=1.0)
     return calib

@@ -40,6 +40,7 @@ __all__ = [
 
 _EDGE_TOL = 1e-8
 _EDGE_CHECK_STRIDE = 200
+_EIGEN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -102,58 +103,22 @@ def _dense_h(grid: QMGrid) -> np.ndarray:
     return h
 
 
-def ground_state(grid: QMGrid, max_iter: int = 5000,
-                 change_tol: float = 1e-12,
-                 eigen_tol: float = 1e-10) -> np.ndarray:
+def ground_state(grid: QMGrid) -> np.ndarray:
     """Normalized oscillator ground state on the grid.
 
-    Imaginary-time split-step relaxation from a Gaussian seed, iterated
-    (with a shrinking step schedule) until the per-iteration change falls
-    below change_tol, then shifted inverse-iteration polish removing the
-    O(dtau^2) splitting bias of the relaxation fixed point.  The final
-    eigen-residual ||H psi - E psi|| is gated by eigen_tol; float64 floors
-    it near eps * ||H|| (about 2e-12 on the default acceptance grid), so
-    eigen_tol cannot be driven arbitrarily low.  Raises on non-convergence.
+    The lowest eigenvector of the dense grid Hamiltonian (spectral kinetic
+    term plus the diagonal potential), from one symmetric eigensolve.  The
+    eigen-residual ||H psi - E psi|| is gated by _EIGEN_TOL; float64 floors
+    it near eps * ||H|| (about 4e-12 on the default acceptance grid).  The
+    sign is fixed so that the largest-magnitude entry is positive.
     """
-    g = grid
-    psi = np.exp(-g.omega * g.q**2 / (2.0 * g.hbar))
-    psi /= g.norm(psi)
-    iterations = 0
-    converged = False
-    for dtau, stage_tol in ((0.3, 1e-8), (0.1, 1e-10), (0.03, change_tol)):
-        kin_factor = np.exp(-dtau * g.hbar * g.wavenumbers**2 / 2.0)
-        pot_half = np.exp(-0.5 * dtau * g.potential / g.hbar)
-        while iterations < max_iter:
-            iterations += 1
-            new = pot_half * np.fft.ifft(kin_factor * np.fft.fft(pot_half * psi)).real
-            new /= g.norm(new)
-            change = float(np.max(np.abs(new - psi)))
-            psi = new
-            if change < stage_tol:
-                converged = True
-                break
-        else:
-            break
-    if not converged:
+    h_dense = _dense_h(grid)
+    energies, vecs = sla.eigh(h_dense, subset_by_index=[0, 0])
+    psi = vecs[:, 0] / grid.norm(vecs[:, 0])
+    residual = grid.norm(h_dense @ psi - energies[0] * psi)
+    if residual > _EIGEN_TOL:
         raise RuntimeError(
-            f"imaginary-time relaxation did not reach change < {change_tol:g} "
-            f"within {max_iter} iterations"
-        )
-
-    h_dense = _dense_h(g)
-    identity = np.eye(g.n_points)
-    for _ in range(3):
-        energy = float(np.sum(psi * (h_dense @ psi)) * g.dq)
-        try:
-            psi = sla.solve(h_dense - (energy - 1e-10) * identity, psi)
-        except sla.LinAlgError:
-            break
-        psi /= g.norm(psi)
-    energy = float(np.sum(psi * (h_dense @ psi)) * g.dq)
-    residual = g.norm(h_dense @ psi - energy * psi)
-    if residual > eigen_tol:
-        raise RuntimeError(
-            f"ground state eigen-residual {residual:.3e} above {eigen_tol:g}"
+            f"ground state eigen-residual {residual:.3e} above {_EIGEN_TOL:g}"
         )
     if psi[np.argmax(np.abs(psi))] < 0:
         psi = -psi

@@ -82,7 +82,7 @@ class ResidualReport:
 
 SWEEP_CSV_COLUMNS = [
     "identity", "num_modes", "mass", "box_length", "hbar", "t",
-    "lambda_re", "lambda_im", "sigma", "seed",
+    "lambda_re", "lambda_im", "seed",
     "max_q2", "max_q1", "q0_re", "q0_im",
     "numeric_spread", "fd_residual", "verdict",
 ]
@@ -101,7 +101,7 @@ def sweep_csv_row(report: ResidualReport) -> str:
         num(p.get("mass")), num(p.get("box_length")), num(p.get("hbar")),
         num(p.get("t")),
         num(p.get("lambda_re")), num(p.get("lambda_im")),
-        str(p.get("sigma", "")), str(p.get("seed", "")),
+        str(p.get("seed", "")),
         num(report.max_q2), num(report.max_q1),
         num(q0.real), num(q0.imag),
         num(report.numeric_spread), num(report.fd_residual),

@@ -29,10 +29,10 @@ import numpy as np
 
 from .gaussian import PairCoefficients
 from .modespace import ModeSpace, ModeVector
-from .propagator import DEFAULT_CONVENTION, KernelConvention, feynman_kernel_closed
+from .propagator import feynman_kernel_closed
 
 __all__ = ["SourceSpec", "ZExponent", "delta_pair_source", "add_smooth_drive",
-           "z_exponent", "drive_from_csv"]
+           "z_exponent"]
 
 _SPAN_RTOL = 1e-9
 
@@ -96,22 +96,6 @@ class SourceSpec:
     def duration(self) -> float:
         return self.t_final - self.t_initial
 
-    def to_record(self) -> dict:
-        rec = {
-            "space": self.space.to_config(),
-            "t_final": self.t_final,
-            "t_initial": self.t_initial,
-            "u_re": self.u_hat.values.real.tolist(),
-            "u_im": self.u_hat.values.imag.tolist(),
-            "v_re": self.v_hat.values.real.tolist(),
-            "v_im": self.v_hat.values.imag.tolist(),
-        }
-        if self.drive is not None:
-            rec["drive_dt"] = self.drive.dt
-            rec["drive_re"] = self.drive.values.real.tolist()
-            rec["drive_im"] = self.drive.values.imag.tolist()
-        return rec
-
 
 def delta_pair_source(space: ModeSpace, u_hat: ModeVector, v_hat: ModeVector,
                       t_final: float, t_initial: float = 0.0) -> SourceSpec:
@@ -132,37 +116,14 @@ def add_smooth_drive(source: SourceSpec, samples, dt: float) -> SourceSpec:
                       source.t_final, source.t_initial, drive)
 
 
-def drive_from_csv(space: ModeSpace, path) -> tuple[np.ndarray, float]:
-    """Load drive samples from CSV columns (t, mode_index, re, im).
-
-    Returns (samples, dt) where samples has shape (n_times, num_modes); the
-    time grid must be uniform.
-    """
-    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if raw.shape[1] != 4:
-        raise ValueError("drive CSV must have columns t, mode_index, re, im")
-    times = np.unique(raw[:, 0])
-    if times.size < 2:
-        raise ValueError("drive CSV needs at least 2 distinct times")
-    steps = np.diff(times)
-    dt = float(steps[0])
-    if not np.allclose(steps, dt, rtol=1e-9, atol=1e-12):
-        raise ValueError("drive CSV time grid must be uniform")
-    samples = np.zeros((times.size, space.num_modes), dtype=complex)
-    t_pos = {t: i for i, t in enumerate(times)}
-    for t, k, re, im in raw:
-        samples[t_pos[t], space.index_of(int(round(k)))] = re + 1j * im
-    return samples, dt
-
-
 @dataclass(frozen=True)
 class ZExponent:
     """Per-mode coefficients of log Z for a composite source.
 
     With no drive, uv_k / uu_k has unit modulus for every mode and its phase
     evolves as e^{-i omega_k (T - T0)}; that ratio is the convention-free
-    evolution law (the constant sign in front of it is part of the fixed
-    kernel-sign convention and is recorded by the calibration step).
+    evolution law (the constant sign in front of it is fixed by the kernel
+    and absorbed by the calibration step).
     """
 
     space: ModeSpace
@@ -208,16 +169,6 @@ class ZExponent:
         c = (self.vv * v * v[neg]).sum() + (self.lin_v * v).sum() + self.const
         return PairCoefficients(self.uu, b, c, neg)
 
-    def to_record(self) -> dict:
-        def split(x):
-            return {"re": np.asarray(x).real.tolist(), "im": np.asarray(x).imag.tolist()}
-        return {
-            "space": self.space.to_config(),
-            "uu": split(self.uu), "uv": split(self.uv), "vv": split(self.vv),
-            "lin_u": split(self.lin_u), "lin_v": split(self.lin_v),
-            "const": {"re": self.const.real, "im": self.const.imag},
-        }
-
 
 def _delta_drive_integral(source: SourceSpec, t_star: float,
                           omegas: np.ndarray) -> np.ndarray:
@@ -250,8 +201,7 @@ def _drive_drive_term(source: SourceSpec, omegas: np.ndarray,
     return complex(((-0.5j / omegas) * s).sum())
 
 
-def z_exponent(space: ModeSpace, source: SourceSpec,
-               conv: KernelConvention = DEFAULT_CONVENTION) -> ZExponent:
+def z_exponent(space: ModeSpace, source: SourceSpec) -> ZExponent:
     """Evaluate log Z on a composite source, mode by mode.
 
     The zero source gives the all-zero exponent (Z = 1).  Every term carries

@@ -42,7 +42,6 @@ import numpy as np
 
 from .gaussian import GaussianCoefficients, evaluate, gradient_at
 from .modespace import ModeSpace, ModeVector
-from .propagator import DEFAULT_CONVENTION, KernelConvention
 from .pseudodynamics import EvolutionState, advance, evolution_functional
 from .reports import ResidualReport
 
@@ -80,12 +79,11 @@ def _fd_log_derivative(state: EvolutionState, us: np.ndarray,
     independent of the phase law under test.
     """
     g = state.coeffs
-    conv = KernelConvention(sigma=state.calibration.sigma)
 
     def growth(step):
         """Phi(T + step, u) / Phi(T, u) - 1."""
         n = evolution_functional(state.space, state.v_hat, state.t + step,
-                                 conv, state.calibration).coeffs
+                                 state.calibration).coeffs
         return np.expm1(_pair_values(n.a_pair - g.a_pair, n.b - g.b, us, uu)
                         + (n.c - g.c))
 
@@ -114,8 +112,7 @@ def _base_params(state: EvolutionState, seed: int) -> dict:
     return {
         "num_modes": ms.num_modes, "mass": ms.mass, "box_length": ms.box_length,
         "hbar": ms.hbar, "t": state.t,
-        "lambda_re": lam.real, "lambda_im": lam.imag,
-        "sigma": state.calibration.sigma, "seed": seed,
+        "lambda_re": lam.real, "lambda_im": lam.imag, "seed": seed,
     }
 
 
@@ -271,16 +268,16 @@ def gradient_check(g: GaussianCoefficients, u_samples: int = 16,
 
 
 def semigroup_check(space: ModeSpace, v_hat: ModeVector, partition,
-                    conv=DEFAULT_CONVENTION, calibration=None) -> float:
+                    calibration=None) -> float:
     """Max coefficient deviation between stepwise advance and direct build."""
     parts = [float(p) for p in partition]
     if any(p < 0 for p in parts):
         raise ValueError("partition parts must be nonnegative")
     total = sum(parts)
-    state = evolution_functional(space, v_hat, 0.0, conv, calibration)
+    state = evolution_functional(space, v_hat, 0.0, calibration)
     for p in parts:
         state = advance(state, p)
-    direct = evolution_functional(space, v_hat, total, conv, calibration)
+    direct = evolution_functional(space, v_hat, total, calibration)
     dev_a = np.max(np.abs(state.coeffs.a_pair - direct.coeffs.a_pair))
     dev_b = np.max(np.abs(state.coeffs.b - direct.coeffs.b))
     dev_c = abs(state.coeffs.c - direct.coeffs.c)

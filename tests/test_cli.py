@@ -37,10 +37,33 @@ def test_semigroup_command(tmp_path):
     assert report["params"]["t"] == 3.0
 
 
-def test_invalid_config_rejected_without_report(tmp_path):
-    out = tmp_path / "r"
-    assert main(["verify-first-order", "--mass", "-2", "--out", str(out)]) == 2
-    assert not out.exists()
+# (command, flags, config file contents or None); each must be refused
+BAD_INPUTS = [
+    ("verify-first-order", ["--mass", "-2"], None),
+    ("verify-first-order", ["--v-spec", "single:99"], None),
+    ("verify-first-order", ["--v-spec", "single:x"], None),
+    ("verify-first-order", [], {"modes": "16"}),
+    ("oracle-qm", [], {"qm_dt": 0.5}),
+    ("sweep", [], {"sweep_modes": [3]}),
+    # the mode-bridge grid at omega ~ 20 needs dt <= 5e-4
+    ("oracle-qm", ["--mass", "20"], None),
+]
+
+
+def test_invalid_config_rejected_without_report(tmp_path, capsys):
+    # exit 2, one stderr line starting 'config error:', no report written
+    for i, (command, flags, config) in enumerate(BAD_INPUTS):
+        argv = [command] + flags
+        if config is not None:
+            cfg_path = tmp_path / f"cfg{i}.json"
+            cfg_path.write_text(json.dumps(config))
+            argv += ["--config", str(cfg_path)]
+        out = tmp_path / f"r{i}"
+        assert main(argv + ["--out", str(out)]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error:"), (argv, err)
+        assert len(err.splitlines()) == 1, (argv, err)
+        assert not out.exists(), argv
 
 
 def test_config_file_and_flag_override(tmp_path):

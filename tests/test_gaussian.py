@@ -229,11 +229,3 @@ def test_polynomial_subtraction_and_value():
     d = p1 - p2
     u = np.array([1.0, 2.0], dtype=complex)
     assert d.value_at(u) == pytest.approx((1 + 4) + 3 + 0.5)
-
-
-def test_coefficients_record_round_trip():
-    g = random_gaussian(3, 91)
-    again = GaussianCoefficients.from_record(g.to_record())
-    assert np.allclose(again.a, g.a)
-    assert np.allclose(again.b, g.b)
-    assert again.c == pytest.approx(g.c)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pseudodyn import ModeSpace, ModeVector, build_mode_space, mode_frequency
+from pseudodyn import ModeSpace, ModeVector, build_mode_space
 
 
 def test_n2_momenta_and_frequencies():
@@ -28,7 +28,7 @@ def test_minimum_frequency_is_mass():
 ])
 def test_mode_frequency_values(box, mass, k, expected):
     ms = build_mode_space(8, box, mass)
-    assert mode_frequency(ms, k) == pytest.approx(expected, rel=1e-12)
+    assert ms.frequency(k) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", [dict(num_modes=3), dict(num_modes=0),

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from pseudodyn import (KernelConvention, PoleResolutionError,
-                       feynman_kernel_closed, feynman_kernel_quadrature,
-                       richardson_kernel, truncation_tail)
+from pseudodyn import (PoleResolutionError, feynman_kernel_closed,
+                       feynman_kernel_quadrature, richardson_kernel,
+                       truncation_tail)
 
 
 def test_closed_form_frozen_values():
@@ -16,11 +16,14 @@ def test_closed_form_frozen_values():
 
 def test_closed_form_matches_quadrature_oracle():
     # each closed value is certified by the regularized integral,
-    # extrapolated in eps
-    for omega, tau in [(1.0, 0.0), (2.0, 0.0), (1.0, 2.0)]:
-        oracle = richardson_kernel(omega, tau, (1e-2, 1e-3, 1e-4), 1e3 * omega)
-        closed = feynman_kernel_closed(omega, tau)
-        assert abs(oracle - closed) / abs(closed) < 1e-5
+    # extrapolated in eps, for either transform sign: the closed form
+    # therefore takes no sign
+    for sigma in (1, -1):
+        for omega, tau in [(1.0, 0.0), (2.0, 0.0), (1.0, 2.0)]:
+            oracle = richardson_kernel(omega, tau, (1e-2, 1e-3, 1e-4), 1e3 * omega,
+                                       sigma=sigma)
+            closed = feynman_kernel_closed(omega, tau)
+            assert abs(oracle - closed) / abs(closed) < 1e-5, (sigma, omega, tau)
 
 
 def test_tau_sign_symmetry_exact():
@@ -35,12 +38,6 @@ def test_unimodular_scale():
         assert abs(feynman_kernel_closed(omega, tau)) == pytest.approx(1 / (2 * omega))
 
 
-def test_sigma_has_no_effect_on_closed_form():
-    plus = feynman_kernel_closed(1.3, 0.7, KernelConvention(sigma=1))
-    minus = feynman_kernel_closed(1.3, 0.7, KernelConvention(sigma=-1))
-    assert plus == minus
-
-
 def test_omega_must_be_positive():
     with pytest.raises(ValueError):
         feynman_kernel_closed(0.0, 1.0)
@@ -49,8 +46,8 @@ def test_omega_must_be_positive():
 
 
 def test_invalid_sigma_rejected():
-    with pytest.raises(ValueError):
-        KernelConvention(sigma=2)
+    with pytest.raises(ValueError, match="sigma"):
+        feynman_kernel_quadrature(1.0, 0.0, 1e-3, 200.0, sigma=2)
 
 
 def test_quadrature_small_cutoff_example():

@@ -120,8 +120,6 @@ def test_advance_rejects_backward(ms):
 def test_calibration_validation():
     with pytest.raises(ValueError):
         ConventionCalibration(lambda_=0.0)
-    with pytest.raises(ValueError):
-        ConventionCalibration(lambda_=1.0, sigma=3)
 
 
 

@@ -6,7 +6,6 @@ from pseudodyn import (ModeVector, add_smooth_drive, build_mode_space,
                        delta_pair_source, feynman_kernel_quadrature,
                        z_exponent)
 from pseudodyn.qm_oracle import genfunc_kernel_value
-from pseudodyn.sources import drive_from_csv
 
 
 @pytest.fixture
@@ -197,26 +196,3 @@ def test_gaussian_in_u_contraction(ms):
     g = zx.gaussian_in_u(v)
     from pseudodyn import log_evaluate
     assert log_evaluate(g, u) == pytest.approx(zx.total(u, v), rel=1e-12)
-
-
-def test_drive_csv_round_trip(ms, tmp_path):
-    path = tmp_path / "drive.csv"
-    rows = ["t,mode_index,re,im"]
-    times = [0.0, 0.5, 1.0]
-    for t in times:
-        rows.append(f"{t},1,{np.sin(t)},0.25")
-        rows.append(f"{t},0,0.5,-0.125")
-    path.write_text("\n".join(rows) + "\n")
-    samples, dt = drive_from_csv(ms, path)
-    assert dt == pytest.approx(0.5)
-    assert samples.shape == (3, ms.num_modes)
-    assert samples[1, ms.index_of(1)] == pytest.approx(np.sin(0.5) + 0.25j)
-    assert samples[2, ms.index_of(0)] == pytest.approx(0.5 - 0.125j)
-
-
-def test_z_record_serialization(ms):
-    zx = z_exponent(ms, delta_pair_source(ms, ModeVector.zeros(ms),
-                                          ModeVector.zeros(ms), 1.0, 0.0))
-    rec = zx.to_record()
-    assert rec["space"]["num_modes"] == ms.num_modes
-    assert len(rec["uu"]["re"]) == ms.num_modes
