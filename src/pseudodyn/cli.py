@@ -19,9 +19,10 @@ import numpy as np
 
 from .modespace import ModeSpace, ModeVector, build_mode_space
 from .pseudodynamics import advance, calibrate, evolution_functional
-from .qm_oracle import (BoundaryFactors, QMGrid, compare_kernels,
-                        cross_coefficient_solver, kernel_matrix_genfunc,
-                        kernel_matrix_solver, qm_drive_from_csv)
+from .qm_oracle import (BoundaryFactors, QMGrid, checked_drive,
+                        compare_kernels, cross_coefficient_solver,
+                        kernel_matrix_genfunc, kernel_matrix_solver,
+                        qm_drive_from_csv)
 from .reports import SWEEP_CSV_COLUMNS, ResidualReport, sweep_csv_row
 from .verifier import (first_order_residual, schrodinger_residual,
                        semigroup_check)
@@ -78,8 +79,12 @@ class RunConfig:
             for k in _BRIDGE_MODES:
                 _checked(f"mode bridge grid at k={k} (from modes, box_length, mass)",
                          lambda: _qm_grid(self, space.frequency(k)))
-            if self.drive_file:
-                _checked("drive_file", lambda: qm_drive_from_csv(self.drive_file))
+            _checked("drive_file", lambda: _oracle_drive(self))
+        if command in ("verify-schrodinger", "sweep"):
+            _checked("hbar", lambda: _require(
+                self.hbar == 1.0,
+                f"must be 1 for the Schrodinger check, got {self.hbar}: the "
+                "calibrated Hamiltonian closes only at unit hbar"))
         if command == "sweep":
             for n in self.sweep_modes:
                 for m in self.sweep_masses:
@@ -131,6 +136,15 @@ def _sweep_space(cfg: RunConfig, n, mass) -> ModeSpace:
 def _qm_grid(cfg: RunConfig, omega: float) -> QMGrid:
     return QMGrid(cfg.qm_q_min, cfg.qm_q_max, cfg.qm_points, cfg.qm_dt, omega,
                   cfg.hbar)
+
+
+def _oracle_drive(cfg: RunConfig):
+    """The driven case's window and drive: the drive file, or sin(t) on [0, 2]."""
+    if not cfg.drive_file:
+        return (0.0, 2.0), np.sin(np.linspace(0.0, 2.0, 2001))
+    t_samples, drive = qm_drive_from_csv(cfg.drive_file)
+    window = (float(t_samples[0]), float(t_samples[-1]))
+    return window, checked_drive(drive, window[1] - window[0], cfg.qm_dt)
 
 
 def _initial_layer(cfg: RunConfig, space: ModeSpace) -> ModeVector:
@@ -240,12 +254,7 @@ def _cmd_oracle_qm(cfg: RunConfig) -> int:
     boundary = BoundaryFactors.vacuum(grid)
     p0s = np.linspace(-3.0, 3.0, 32)
     ps = np.linspace(-3.0, 3.0, 32)
-    if cfg.drive_file:
-        t_samples, drive = qm_drive_from_csv(cfg.drive_file)
-        drive_window = (float(t_samples[0]), float(t_samples[-1]))
-    else:
-        drive = np.sin(np.linspace(0.0, 2.0, 2001))
-        drive_window = (0.0, 2.0)
+    drive_window, drive = _oracle_drive(cfg)
     cases = [
         ("coincident", 0.0, 0.0, None, cfg.tol_kernel_coincident),
         ("gap_1", 0.0, 1.0, None, cfg.tol_kernel_gap),

@@ -25,6 +25,7 @@ __all__ = [
     "PoleResolutionError",
     "feynman_kernel_closed",
     "feynman_kernel_quadrature",
+    "kernel_double_trapezoid",
     "richardson_kernel",
     "truncation_tail",
 ]
@@ -47,6 +48,25 @@ def feynman_kernel_closed(omega, tau):
     if np.isscalar(omega) and np.isscalar(tau):
         return complex(out)
     return out
+
+
+def kernel_double_trapezoid(x, y, times, step, omegas) -> np.ndarray:
+    """Per-mode double trapezoid sum_{m,m'} w_m w_m' x_m D(t_m - t_m') y_m'.
+
+    x and y hold samples on the uniform grid ``times`` (spacing ``step``),
+    one row per time and one column per mode; omegas has one entry per
+    column.  The |t - t'| kernel is split at the diagonal so the double sum
+    reduces to cumulative sums, O(n) per mode instead of an (n, n) matrix.
+    """
+    weights = np.full(len(times), step)
+    weights[0] = weights[-1] = 0.5 * step
+    phase = np.exp(-1j * np.outer(times, omegas))  # e^{-i w t_m}
+    wx = weights[:, None] * x
+    wy = weights[:, None] * y
+    below = np.cumsum(wy * np.conj(phase), axis=0)                     # m' <= m
+    above = np.cumsum((wy * phase)[::-1], axis=0)[::-1] - wy * phase   # m' > m
+    s = ((wx * phase) * below + (wx * np.conj(phase)) * above).sum(axis=0)
+    return -0.5j / omegas * s
 
 
 def _graded_mesh(omega: float, eps: float, e_cut: float):

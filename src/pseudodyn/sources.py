@@ -29,7 +29,7 @@ import numpy as np
 
 from .gaussian import PairCoefficients
 from .modespace import ModeSpace, ModeVector
-from .propagator import feynman_kernel_closed
+from .propagator import feynman_kernel_closed, kernel_double_trapezoid
 
 __all__ = ["SourceSpec", "ZExponent", "delta_pair_source", "add_smooth_drive",
            "z_exponent"]
@@ -183,22 +183,11 @@ def _delta_drive_integral(source: SourceSpec, t_star: float,
 
 def _drive_drive_term(source: SourceSpec, omegas: np.ndarray,
                       neg: np.ndarray) -> complex:
-    """sum_k double-trapezoid of d_k(t) D(t - t'; omega_k) d_{-k}(t').
-
-    The |t - t'| kernel is split at the diagonal so the double sum reduces
-    to cumulative sums, O(n) per mode instead of an (n, n) matrix.
-    """
+    """sum_k double-trapezoid of d_k(t) D(t - t'; omega_k) d_{-k}(t')."""
     d = source.drive
     times = source.t_initial + d.dt * np.arange(d.n_samples)
-    weights = np.full(d.n_samples, d.dt)
-    weights[0] = weights[-1] = 0.5 * d.dt
-    phase = np.exp(-1j * np.outer(times, omegas))  # e^{-i w t_m}
-    x = weights[:, None] * d.values
-    y = weights[:, None] * d.values[:, neg]
-    below = np.cumsum(y * np.conj(phase), axis=0)          # sum_{m' <= m} y e^{+i w t}
-    above = np.cumsum((y * phase)[::-1], axis=0)[::-1] - y * phase  # m' > m
-    s = ((x * phase) * below + (x * np.conj(phase)) * above).sum(axis=0)
-    return complex(((-0.5j / omegas) * s).sum())
+    return complex(kernel_double_trapezoid(d.values, d.values[:, neg], times,
+                                           d.dt, omegas).sum())
 
 
 def z_exponent(space: ModeSpace, source: SourceSpec) -> ZExponent:

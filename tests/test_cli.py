@@ -132,3 +132,33 @@ def test_v_spec_presets(tmp_path):
                  "--v-spec", "single:1"]) == 0
     assert main(["verify-first-order", "--out", str(out), "--modes", "8",
                  "--v-spec", "bogus"]) == 2
+
+
+def _assert_refused(argv, out, capsys, reason):
+    assert main(argv + ["--out", str(out)]) == 2, argv
+    err = capsys.readouterr().err
+    assert err.startswith("config error:"), err
+    assert reason in err, err
+    assert len(err.splitlines()) == 1, err
+    assert not out.exists()
+
+
+def test_drive_file_finer_than_qm_dt_refused(tmp_path, capsys):
+    cases = [
+        # 5e-5 sample spacing against the default qm_dt = 1e-3
+        (np.arange(201) * 5e-5, "config error: drive_file: dt=0.001 must not exceed"),
+        # time running backwards
+        (np.linspace(2.0, 0.0, 1001), "config error: drive_file: drive window"),
+    ]
+    for i, (tt, reason) in enumerate(cases):
+        path = tmp_path / f"drive{i}.csv"
+        path.write_text("t,value\n"
+                        + "".join(f"{t:.17g},{np.sin(t):.17g}\n" for t in tt))
+        _assert_refused(["oracle-qm", "--drive-file", str(path)], tmp_path / f"r{i}",
+                        capsys, reason)
+
+
+def test_schrodinger_at_hbar_other_than_one_refused(tmp_path, capsys):
+    for i, command in enumerate(("verify-schrodinger", "sweep")):
+        _assert_refused([command, "--hbar", "2"], tmp_path / f"r{i}", capsys,
+                        "config error: hbar: must be 1")

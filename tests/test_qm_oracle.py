@@ -6,7 +6,7 @@ from pseudodyn import (BoundaryFactors, QMGrid, compare_kernels,
                        genfunc_kernel_value, ground_state,
                        kernel_matrix_genfunc, kernel_matrix_solver,
                        propagate_driven)
-from pseudodyn.qm_oracle import qm_drive_from_csv
+from pseudodyn.qm_oracle import _EIGEN_TOL, _dense_h, qm_drive_from_csv
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +96,74 @@ def test_drive_sampled_finer_than_dt_rejected(grid, vacuum):
 def test_single_sample_drive_rejected(grid, vacuum):
     with pytest.raises(ValueError):
         propagate_driven(vacuum.astype(complex), grid, 0.0, 1.0, np.ones(1))
+
+
+def _unfused_strang(psi0, grid, t_initial, t_final, drive=None):
+    """Reference split-step loop: both potential half-steps in every step."""
+    psi = np.array(psi0, dtype=complex)
+    span = t_final - t_initial
+    n_steps = int(np.ceil(span / grid.dt - 1e-12))
+    dt = span / n_steps
+    kin_factor = np.exp(-1j * dt * grid.hbar * grid.wavenumbers**2 / 2.0)
+    t_mid = t_initial + (np.arange(n_steps) + 0.5) * dt
+    j_mid = (np.zeros(n_steps) if drive is None else
+             np.interp(t_mid, np.linspace(t_initial, t_final, drive.size), drive))
+    for step in range(n_steps):
+        v_mid = grid.potential - grid.hbar * j_mid[step] * grid.q
+        half = np.exp(-0.5j * dt * v_mid / grid.hbar)
+        psi = half * np.fft.ifft(kin_factor * np.fft.fft(half * psi, axis=-1), axis=-1)
+    return psi
+
+
+def test_fused_loop_matches_unfused_strang(grid, vacuum):
+    kicks = np.exp(-1j * np.outer(np.linspace(-3.0, 3.0, 32), grid.q))
+    batch = vacuum[None, :] * kicks
+    drive = 0.7 * np.sin(3.0 * np.linspace(0.0, 0.5, 501))
+    cases = [
+        (vacuum, 0.0, 0.3, None),                 # free window, one row
+        (batch[5], 0.2, 0.7, drive),              # driven window, one row
+        (batch, 0.0, 0.3, None),                  # free, 32 rows
+        (batch, 0.2, 0.7, drive),                 # driven, 32 rows
+        (batch[:1], 0.0, 0.3, drive[:301]),       # driven, shape (1, n)
+        (batch, 0.0, 7e-4, None),                 # n_steps == 1
+        (batch, 0.0, 1e-3, np.array([0.3, -0.2])),
+    ]
+    for psi0, t0, t1, drv in cases:
+        got = propagate_driven(psi0, grid, t0, t1, drv)
+        want = _unfused_strang(psi0, grid, t0, t1, drv)
+        assert got.shape == np.shape(psi0)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_propagate_leaves_input_untouched(grid, vacuum):
+    psi0 = vacuum.astype(complex)
+    before = psi0.copy()
+    propagate_driven(psi0, grid, 0.0, 0.01)
+    assert np.array_equal(psi0, before)
+
+
+def test_circulant_hamiltonian_matches_fft_of_identity(grid):
+    n = grid.n_points
+    kin = 0.5 * grid.hbar**2 * grid.wavenumbers**2
+    k_dense = np.fft.ifft(kin[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0).real
+    want = 0.5 * (k_dense + k_dense.T) + np.diag(grid.potential)
+    got = _dense_h(grid)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_ground_state_cached_per_grid_and_read_only(grid, vacuum):
+    same = QMGrid(q_min=-12.0, q_max=12.0, n_points=512, dt=1e-3, omega=1.0)
+    assert ground_state(same) is vacuum
+    with pytest.raises(ValueError):
+        vacuum[0] = 0.0
+    other = QMGrid(q_min=-12.0, q_max=12.0, n_points=512, dt=1e-3, omega=2.0)
+    psi = ground_state(other)
+    assert psi is not vacuum
+    assert not psi.flags.writeable
+    for g, state in ((grid, vacuum), (other, psi)):
+        h = _dense_h(g)
+        energy = state @ h @ state / (state @ state)
+        assert g.norm(h @ state - energy * state) < _EIGEN_TOL
 
 
 def test_coincident_kernel_matches_analytic_gaussian(grid, boundary):
