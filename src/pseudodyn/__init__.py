@@ -17,9 +17,8 @@ from .pseudodynamics import (ConventionCalibration, EvolutionState, advance,
                              raw_pair_coefficients)
 from .qm_oracle import (BoundaryFactors, QMGrid, compare_kernels,
                         cross_coefficient_genfunc, cross_coefficient_solver,
-                        genfunc_kernel_value, ground_state,
-                        kernel_matrix_genfunc, kernel_matrix_solver,
-                        propagate_driven)
+                        ground_state, kernel_matrix_genfunc,
+                        kernel_matrix_solver, propagate_driven)
 from .reports import ResidualReport
 from .sources import (SourceSpec, ZExponent, add_smooth_drive,
                       delta_pair_source, z_exponent)

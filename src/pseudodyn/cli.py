@@ -88,8 +88,10 @@ class RunConfig:
         if command == "sweep":
             for n in self.sweep_modes:
                 for m in self.sweep_masses:
-                    _checked("sweep_modes, sweep_masses",
-                             lambda: _sweep_space(self, n, m))
+                    sweep_space = _checked("sweep_modes, sweep_masses",
+                                           lambda: _sweep_space(self, n, m))
+                    _checked("v_spec, seed, sweep_modes",
+                             lambda: _initial_layer(self, sweep_space))
             _checked("sweep_times", lambda: _require(
                 all(float(t) >= 0 for t in self.sweep_times), "must be nonnegative"))
 
@@ -311,8 +313,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
         for m in cfg.sweep_masses:
             space = _sweep_space(cfg, n, m)
             calib = calibrate(space)
-            vec = ModeVector.random(space, np.random.default_rng(cfg.seed))
-            v_hat = ModeVector(space, vec.values / np.linalg.norm(vec.values))
+            v_hat = _initial_layer(cfg, space)
             for t in cfg.sweep_times:
                 state = evolution_functional(space, v_hat, float(t), calibration=calib)
                 for report in (
@@ -380,3 +381,7 @@ def main(argv=None) -> int:
 
 def entry_point():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

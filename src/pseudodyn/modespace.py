@@ -163,14 +163,6 @@ class ModeVector:
         return cls(space, vals)
 
     @classmethod
-    def from_components(cls, space: ModeSpace, components: dict,
-                        real_field: bool = False) -> "ModeVector":
-        vals = np.zeros(space.num_modes, dtype=complex)
-        for k, amp in components.items():
-            vals[space.index_of(int(k))] = amp
-        return cls(space, vals, real_field=real_field)
-
-    @classmethod
     def random(cls, space: ModeSpace, rng: np.random.Generator,
                scale: float = 1.0, real_field: bool = False) -> "ModeVector":
         """Amplitudes with real and imaginary parts uniform in [-scale, scale]."""

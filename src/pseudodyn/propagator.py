@@ -26,6 +26,7 @@ __all__ = [
     "feynman_kernel_closed",
     "feynman_kernel_quadrature",
     "kernel_double_trapezoid",
+    "kernel_trapezoid",
     "richardson_kernel",
     "truncation_tail",
 ]
@@ -50,6 +51,24 @@ def feynman_kernel_closed(omega, tau):
     return out
 
 
+def _trapezoid_weights(n: int, step: float) -> np.ndarray:
+    """Trapezoid weights of n uniform samples spaced step apart."""
+    weights = np.full(n, step)
+    weights[0] = weights[-1] = 0.5 * step
+    return weights
+
+
+def kernel_trapezoid(x, t_star: float, times, step, omegas) -> np.ndarray:
+    """Per-mode trapezoid sum_m w_m D(t* - t_m) x_m at one time t*.
+
+    x holds samples on the uniform grid ``times`` (spacing ``step``), one
+    row per time and one column per mode; omegas has one entry per column.
+    """
+    weights = _trapezoid_weights(len(times), step)
+    kern = feynman_kernel_closed(omegas[None, :], np.abs(t_star - times)[:, None])
+    return (weights[:, None] * kern * x).sum(axis=0)
+
+
 def kernel_double_trapezoid(x, y, times, step, omegas) -> np.ndarray:
     """Per-mode double trapezoid sum_{m,m'} w_m w_m' x_m D(t_m - t_m') y_m'.
 
@@ -58,8 +77,7 @@ def kernel_double_trapezoid(x, y, times, step, omegas) -> np.ndarray:
     column.  The |t - t'| kernel is split at the diagonal so the double sum
     reduces to cumulative sums, O(n) per mode instead of an (n, n) matrix.
     """
-    weights = np.full(len(times), step)
-    weights[0] = weights[-1] = 0.5 * step
+    weights = _trapezoid_weights(len(times), step)
     phase = np.exp(-1j * np.outer(times, omegas))  # e^{-i w t_m}
     wx = weights[:, None] * x
     wy = weights[:, None] * y
@@ -150,13 +168,12 @@ def richardson_kernel(omega: float, tau: float,
                       eps_values=(1e-2, 1e-3, 1e-4),
                       e_cut: float | None = None,
                       n_points: int = 4_000_000,
-                      include_tail: bool = True,
                       sigma: int = 1) -> complex:
     """Extrapolate the quadrature kernel to eps -> 0.
 
     Polynomial (Richardson) extrapolation in eps of the trapezoid values,
-    optionally adding the eps-independent truncation tail, which otherwise
-    floors the achievable accuracy at ~2*omega/(pi*e_cut) relative.
+    plus the eps-independent truncation tail, which is always added:
+    without it the accuracy floors at ~2*omega/(pi*e_cut) relative.
     """
     eps_values = sorted(set(float(e) for e in eps_values), reverse=True)
     if len(eps_values) < 2:
@@ -173,6 +190,5 @@ def richardson_kernel(omega: float, tau: float,
             if j != i:
                 weight *= ej / (ej - ei)
         out += weight * vi
-    if include_tail:
-        out += truncation_tail(omega, tau, e_cut)
+    out += truncation_tail(omega, tau, e_cut)
     return complex(out)

@@ -28,12 +28,12 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy import linalg as sla
 
-from .propagator import feynman_kernel_closed, kernel_double_trapezoid
 from .reports import ResidualReport
+from .sources import exponent_coefficients
 
 __all__ = [
     "QMGrid", "BoundaryFactors", "ground_state", "propagate_driven",
-    "kernel_matrix_solver", "genfunc_kernel_value", "kernel_matrix_genfunc",
+    "kernel_matrix_solver", "kernel_matrix_genfunc",
     "compare_kernels", "cross_coefficient_solver", "cross_coefficient_genfunc",
     "qm_drive_from_csv",
 ]
@@ -264,52 +264,24 @@ def kernel_matrix_solver(grid: QMGrid, boundary: BoundaryFactors,
     return weighted @ transform
 
 
-def _drive_integrals(omega: float, t_initial: float, t_final: float,
-                     drive: np.ndarray):
-    """Trapezoid delta-drive and drive-drive integrals against the kernel."""
-    n = drive.size
-    t = np.linspace(t_initial, t_final, n)
-    step = t[1] - t[0]
-    w = np.full(n, step)
-    w[0] = w[-1] = 0.5 * step
-    wj = w * drive
-    i_final = np.sum(wj * feynman_kernel_closed(np.full(n, omega), np.abs(t_final - t)))
-    i_initial = np.sum(wj * feynman_kernel_closed(np.full(n, omega), np.abs(t - t_initial)))
-    dd = kernel_double_trapezoid(drive[:, None], drive[:, None], t, step,
-                                 np.array([omega]))[0]
-    return complex(i_final), complex(i_initial), complex(dd)
-
-
 def kernel_matrix_genfunc(p0_values, p_values, omega: float, hbar: float,
                           t_initial: float, t_final: float,
                           drive: np.ndarray | None = None) -> np.ndarray:
     """Generating-functional side of the kernel identity on the same grids.
 
-    Closed form for the delta-delta terms; trapezoid quadrature on the drive
-    samples for the delta-drive and drive-drive terms.
+    The one-mode exponent of sources.exponent_coefficients on the source
+    p delta(t - T) - p0 delta(t - T0) + drive, one row per p0 and one
+    column per p.
     """
-    p0s = np.atleast_1d(np.asarray(p0_values, dtype=float))
-    ps = np.atleast_1d(np.asarray(p_values, dtype=float))
-    g0 = feynman_kernel_closed(omega, 0.0)
-    g_gap = feynman_kernel_closed(omega, t_final - t_initial)
+    p0s = np.atleast_1d(np.asarray(p0_values, dtype=float))[:, None]
+    ps = np.atleast_1d(np.asarray(p_values, dtype=float))[None, :]
     if drive is not None:
-        i_final, i_initial, dd = _drive_integrals(omega, t_initial, t_final,
-                                                  np.asarray(drive, dtype=float))
-    else:
-        i_final = i_initial = dd = 0.0
-    quad = (g0 * (ps**2)[None, :] + g0 * (p0s**2)[:, None]
-            - 2.0 * g_gap * np.outer(p0s, ps)
-            + 2.0 * i_final * ps[None, :] - 2.0 * i_initial * p0s[:, None]
-            + dd)
-    return np.exp(-0.5j / hbar * quad)
-
-
-def genfunc_kernel_value(p0: float, p: float, omega: float, hbar: float,
-                         t_initial: float, t_final: float,
-                         drive: np.ndarray | None = None) -> complex:
-    """Single entry of the generating-functional kernel."""
-    return complex(kernel_matrix_genfunc([p0], [p], omega, hbar,
-                                         t_initial, t_final, drive)[0, 0])
+        # the solver's drive rule without its step bound (no time stepping here)
+        drive = checked_drive(drive, t_final - t_initial, 0.0)[:, None]
+    uu, uv, vv, lin_u, lin_v, const = exponent_coefficients(
+        np.array([omega]), [0], hbar, t_initial, t_final, drive)
+    return np.exp(uu[0] * ps**2 + 2.0 * uv[0] * ps * p0s + vv[0] * p0s**2
+                  + lin_u[0] * ps + lin_v[0] * p0s + const)
 
 
 def compare_kernels(lhs: np.ndarray, rhs: np.ndarray, tol_spread: float,

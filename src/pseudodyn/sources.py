@@ -18,7 +18,9 @@ coefficients of that quadratic form in the canonical layout
 so each unordered pair is counted twice via the two orderings, matching the
 all-ordered-pairs convention of the Gaussian algebra.  Delta-delta terms
 are exact; delta-drive and drive-drive terms use trapezoid quadrature on
-the caller-supplied uniform sample grid.
+the caller-supplied uniform sample grid.  exponent_coefficients is the one
+place these coefficients are computed: z_exponent calls it with the
+lattice frequencies, and the oscillator oracle with a single frequency.
 """
 
 from __future__ import annotations
@@ -29,10 +31,11 @@ import numpy as np
 
 from .gaussian import PairCoefficients
 from .modespace import ModeSpace, ModeVector
-from .propagator import feynman_kernel_closed, kernel_double_trapezoid
+from .propagator import (feynman_kernel_closed, kernel_double_trapezoid,
+                         kernel_trapezoid)
 
 __all__ = ["SourceSpec", "ZExponent", "delta_pair_source", "add_smooth_drive",
-           "z_exponent"]
+           "exponent_coefficients", "z_exponent"]
 
 _SPAN_RTOL = 1e-9
 
@@ -55,12 +58,8 @@ class DriveSamples:
         object.__setattr__(self, "values", vals)
 
     @property
-    def n_samples(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def span(self) -> float:
-        return (self.n_samples - 1) * self.dt
+        return (self.values.shape[0] - 1) * self.dt
 
 
 @dataclass(frozen=True)
@@ -91,10 +90,6 @@ class SourceSpec:
                     f"drive span {self.drive.span} does not cover [t_initial, t_final] "
                     f"(expected {span})"
                 )
-
-    @property
-    def duration(self) -> float:
-        return self.t_final - self.t_initial
 
 
 def delta_pair_source(space: ModeSpace, u_hat: ModeVector, v_hat: ModeVector,
@@ -170,51 +165,41 @@ class ZExponent:
         return PairCoefficients(self.uu, b, c, neg)
 
 
-def _delta_drive_integral(source: SourceSpec, t_star: float,
-                          omegas: np.ndarray) -> np.ndarray:
-    """I_j(t*) = trapezoid_t D(t* - t; omega_j) d_j(t), one value per mode."""
-    d = source.drive
-    times = source.t_initial + d.dt * np.arange(d.n_samples)
-    weights = np.full(d.n_samples, d.dt)
-    weights[0] = weights[-1] = 0.5 * d.dt
-    kern = feynman_kernel_closed(omegas[None, :], np.abs(t_star - times)[:, None])
-    return (weights[:, None] * kern * d.values).sum(axis=0)
+def exponent_coefficients(omegas, negation, hbar: float, t_initial: float,
+                          t_final: float, drive=None):
+    """Per-mode coefficients (uu, uv, vv, lin_u, lin_v, const) of log Z.
 
-
-def _drive_drive_term(source: SourceSpec, omegas: np.ndarray,
-                      neg: np.ndarray) -> complex:
-    """sum_k double-trapezoid of d_k(t) D(t - t'; omega_k) d_{-k}(t')."""
-    d = source.drive
-    times = source.t_initial + d.dt * np.arange(d.n_samples)
-    return complex(kernel_double_trapezoid(d.values, d.values[:, neg], times,
-                                           d.dt, omegas).sum())
+    The source is u delta(t - t_final) - v delta(t - t_initial) plus the
+    optional drive, given as (n, num_modes) samples spread evenly over
+    [t_initial, t_final] (n >= 2); mode k pairs with mode negation[k].
+    Every term carries the (-i/2h) prefactor of the generating functional.
+    Delta-delta terms are exact; delta-drive and drive-drive terms are
+    trapezoid sums on the sample grid.
+    """
+    pref = -0.5j / hbar
+    uu = pref * feynman_kernel_closed(omegas, 0.0)
+    uv = -pref * feynman_kernel_closed(omegas, t_final - t_initial)
+    if drive is None:
+        zero = np.zeros(len(omegas), dtype=complex)
+        return uu, uv, uu, zero, zero, 0.0j
+    times = np.linspace(t_initial, t_final, drive.shape[0])
+    step = times[1] - times[0]
+    i_final = kernel_trapezoid(drive, t_final, times, step, omegas)
+    i_initial = kernel_trapezoid(drive, t_initial, times, step, omegas)
+    dd = kernel_double_trapezoid(drive, drive[:, negation], times, step, omegas)
+    return (uu, uv, uu, 2.0 * pref * i_final[negation],
+            -2.0 * pref * i_initial[negation], pref * complex(dd.sum()))
 
 
 def z_exponent(space: ModeSpace, source: SourceSpec) -> ZExponent:
     """Evaluate log Z on a composite source, mode by mode.
 
-    The zero source gives the all-zero exponent (Z = 1).  Every term carries
-    the (-i/2h) prefactor of the generating functional; lattice measure
+    The zero source gives the all-zero exponent (Z = 1).  Lattice measure
     factors are deliberately left to the downstream calibration.
     """
     if source.space.num_modes != space.num_modes:
         raise ValueError("source was built on a different mode space")
-    w = space.frequencies
-    pref = -0.5j / space.hbar
-    d0 = feynman_kernel_closed(w, 0.0)
-    d_gap = feynman_kernel_closed(w, source.duration)
-    uu = pref * d0
-    vv = pref * d0
-    uv = -pref * d_gap
-    n = space.num_modes
-    lin_u = np.zeros(n, dtype=complex)
-    lin_v = np.zeros(n, dtype=complex)
-    const = 0.0 + 0.0j
-    if source.drive is not None:
-        neg = space.negation
-        i_final = _delta_drive_integral(source, source.t_final, w)
-        i_initial = _delta_drive_integral(source, source.t_initial, w)
-        lin_u = 2.0 * pref * i_final[neg]
-        lin_v = -2.0 * pref * i_initial[neg]
-        const = pref * _drive_drive_term(source, w, neg)
-    return ZExponent(space, uu, uv, vv, lin_u, lin_v, const)
+    drive = None if source.drive is None else source.drive.values
+    return ZExponent(space, *exponent_coefficients(
+        space.frequencies, space.negation, space.hbar,
+        source.t_initial, source.t_final, drive))

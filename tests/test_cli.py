@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pseudodyn
 from pseudodyn.cli import ConfigError, RunConfig, main
 
 
@@ -10,6 +15,18 @@ def read_csv_body(path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# generated ")
     return "\n".join(lines[1:])
+
+
+def test_module_run_executes_command(tmp_path):
+    out = tmp_path / "r"
+    src = str(Path(pseudodyn.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "pseudodyn.cli", "calibrate",
+                           "--out", str(out)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "calibration.json").is_file()
 
 
 def test_calibrate_writes_record(tmp_path):
@@ -45,6 +62,8 @@ BAD_INPUTS = [
     ("verify-first-order", [], {"modes": "16"}),
     ("oracle-qm", [], {"qm_dt": 0.5}),
     ("sweep", [], {"sweep_modes": [3]}),
+    # mode 3 exists on the 16-mode lattice but not on the 2-mode sweep one
+    ("sweep", ["--v-spec", "single:3"], {"sweep_modes": [2, 8]}),
     # the mode-bridge grid at omega ~ 20 needs dt <= 5e-4
     ("oracle-qm", ["--mass", "20"], None),
 ]
@@ -110,6 +129,10 @@ def test_sweep_csv_deterministic(tmp_path):
     assert body.splitlines()[0].startswith("identity,num_modes,")
     # 2 lattices x 2 times x 2 identities
     assert len(body.splitlines()) == 1 + 8
+    out3 = tmp_path / "r3"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out3),
+                 "--seed", "42", "--v-spec", "zero"]) == 0
+    assert read_csv_body(out3 / "sweep.csv") != body
 
 
 def test_sweep_exit_code_on_failure(tmp_path):

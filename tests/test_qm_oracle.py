@@ -3,9 +3,8 @@ import pytest
 
 from pseudodyn import (BoundaryFactors, QMGrid, compare_kernels,
                        cross_coefficient_genfunc, cross_coefficient_solver,
-                       genfunc_kernel_value, ground_state,
-                       kernel_matrix_genfunc, kernel_matrix_solver,
-                       propagate_driven)
+                       ground_state, kernel_matrix_genfunc,
+                       kernel_matrix_solver, propagate_driven)
 from pseudodyn.qm_oracle import _EIGEN_TOL, _dense_h, qm_drive_from_csv
 
 
@@ -96,6 +95,10 @@ def test_drive_sampled_finer_than_dt_rejected(grid, vacuum):
 def test_single_sample_drive_rejected(grid, vacuum):
     with pytest.raises(ValueError):
         propagate_driven(vacuum.astype(complex), grid, 0.0, 1.0, np.ones(1))
+    # the generating-functional side refuses the same malformed drives
+    for drive in (np.ones(1), np.ones((5, 2))):
+        with pytest.raises(ValueError):
+            kernel_matrix_genfunc([0.5], [0.5], 1.0, 1.0, 0.0, 1.0, drive)
 
 
 def _unfused_strang(psi0, grid, t_initial, t_final, drive=None):
@@ -177,9 +180,35 @@ def test_coincident_kernel_matches_analytic_gaussian(grid, boundary):
 def test_coincident_genfunc_equals_gaussian():
     for p0 in (-1.0, 0.0, 0.7):
         for p in (-0.3, 0.0, 1.2):
-            val = genfunc_kernel_value(p0, p, 1.0, 1.0, 0.0, 0.0)
+            val = kernel_matrix_genfunc([p0], [p], 1.0, 1.0, 0.0, 0.0)[0, 0]
             assert val == pytest.approx(np.exp(-(p - p0)**2 / 4.0), rel=1e-12)
-    assert genfunc_kernel_value(0.0, 0.0, 1.0, 1.0, 0.0, 0.0) == pytest.approx(1.0)
+    assert kernel_matrix_genfunc([0.0], [0.0], 1.0, 1.0, 0.0, 0.0)[0, 0] == pytest.approx(1.0)
+
+
+def test_driven_genfunc_against_dense_reference():
+    # the driven one-mode exponent rebuilt here from its definition:
+    # (-i/2h) int int j D j on j = p delta(t - T) - p0 delta(t - T0) + drive,
+    # closed-form delta terms, explicit trapezoid weights and a dense
+    # (n, n) drive-drive kernel matrix
+    omega, hbar, t0, t1 = 1.3, 0.7, 0.4, 2.1
+    n = 401
+    tt = np.linspace(t0, t1, n)
+    drive = np.sin(2.0 * tt) + 0.3 * np.cos(5.0 * tt)
+    step = tt[1] - tt[0]
+    w = np.full(n, step)
+    w[0] = w[-1] = 0.5 * step
+
+    def kern(tau):
+        return -0.5j / omega * np.exp(-1j * omega * np.abs(tau))
+
+    dense = (w * drive) @ kern(tt[:, None] - tt[None, :]) @ (w * drive)
+    for p0, p in ((0.0, 0.0), (-0.45, 0.8), (1.1, -1.6), (2.0, 2.0)):
+        quad = (kern(0.0) * (p**2 + p0**2) - 2.0 * kern(t1 - t0) * p * p0
+                + 2.0 * p * np.sum(w * kern(t1 - tt) * drive)
+                - 2.0 * p0 * np.sum(w * kern(tt - t0) * drive) + dense)
+        expected = np.exp(-0.5j / hbar * quad)
+        got = kernel_matrix_genfunc([p0], [p], omega, hbar, t0, t1, drive)[0, 0]
+        assert got == pytest.approx(expected, rel=1e-12), (p0, p)
 
 
 def test_coincident_diagonal_constant(grid, boundary):

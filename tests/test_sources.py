@@ -5,7 +5,7 @@ from scipy import integrate
 from pseudodyn import (ModeVector, add_smooth_drive, build_mode_space,
                        delta_pair_source, feynman_kernel_quadrature,
                        z_exponent)
-from pseudodyn.qm_oracle import genfunc_kernel_value
+from pseudodyn.qm_oracle import kernel_matrix_genfunc
 
 
 @pytest.fixture
@@ -164,8 +164,8 @@ def test_single_mode_matches_qm_genfunc_formula():
     src = add_smooth_drive(delta_pair_source(ms2, u, v, t_final, 0.0),
                            drive, tt[1] - tt[0])
     zx = z_exponent(ms2, src)
-    expected = genfunc_kernel_value(p0, p, ms2.mass, 1.0, 0.0, t_final,
-                                    drive[:, ms2.index_of(0)].real)
+    expected = kernel_matrix_genfunc([p0], [p], ms2.mass, 1.0, 0.0, t_final,
+                                     drive[:, ms2.index_of(0)].real)[0, 0]
     assert np.exp(zx.total(u, v)) == pytest.approx(expected, rel=1e-12)
 
 
