@@ -21,8 +21,8 @@ from .modespace import ModeSpace, ModeVector, build_mode_space
 from .pseudodynamics import advance, calibrate, evolution_functional
 from .qm_oracle import (BoundaryFactors, QMGrid, checked_drive,
                         compare_kernels, cross_coefficient_solver,
-                        kernel_matrix_genfunc, kernel_matrix_solver,
-                        qm_drive_from_csv)
+                        ground_state, kernel_matrix_genfunc,
+                        kernel_matrix_solver, qm_drive_from_csv)
 from .reports import SWEEP_CSV_COLUMNS, ResidualReport, sweep_csv_row
 from .verifier import (first_order_residual, schrodinger_residual,
                        semigroup_check)
@@ -63,8 +63,9 @@ class RunConfig:
         """Build everything ``command`` will build from this config.
 
         Any ValueError, TypeError, IndexError or OSError on the way becomes
-        a ConfigError naming the keys involved, so bad input is refused
-        before a run starts.
+        a ConfigError naming the keys involved, and so does the vacuum's
+        eigen-residual gate (a RuntimeError) on an oracle grid too small for
+        its frequency, so bad input is refused before a run starts.
         """
         for name in ("tol_coeff", "tol_numeric", "tol_schrodinger", "tol_spread",
                      "tol_kernel_coincident", "tol_kernel_gap", "tol_bridge"):
@@ -75,10 +76,10 @@ class RunConfig:
         _checked("v_spec, seed", lambda: _initial_layer(self, space))
         if command == "oracle-qm":
             _checked("qm_q_min, qm_q_max, qm_points, qm_dt, qm_omega, hbar",
-                     lambda: _qm_grid(self, self.qm_omega))
+                     lambda: ground_state(_qm_grid(self, self.qm_omega)))
             for k in _BRIDGE_MODES:
                 _checked(f"mode bridge grid at k={k} (from modes, box_length, mass)",
-                         lambda: _qm_grid(self, space.frequency(k)))
+                         lambda: ground_state(_qm_grid(self, space.frequency(k))))
             _checked("drive_file", lambda: _oracle_drive(self))
         if command in ("verify-schrodinger", "sweep"):
             _checked("hbar", lambda: _require(
@@ -123,7 +124,7 @@ def _checked(keys: str, build):
     """build(), with any construction error re-raised as a ConfigError."""
     try:
         return build()
-    except (ValueError, TypeError, IndexError, OSError) as err:
+    except (ValueError, TypeError, IndexError, OSError, RuntimeError) as err:
         raise ConfigError(f"{keys}: {err}") from err
 
 

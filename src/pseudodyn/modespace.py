@@ -89,7 +89,7 @@ class ModeSpace:
         """Array position of mode index k."""
         half = self.num_modes // 2
         if not -half + 1 <= k <= half:
-            raise IndexError(f"mode index {k} outside {{-{half - 1}, ..., {half}}}")
+            raise IndexError(f"mode index {k} outside {{{-half + 1}, ..., {half}}}")
         return int(k + half - 1)
 
     def frequency(self, k: int) -> float:

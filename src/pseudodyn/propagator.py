@@ -19,7 +19,6 @@ place it enters an integrand.  The 1/(2pi) normalization is fixed.
 from __future__ import annotations
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "PoleResolutionError",
@@ -149,19 +148,88 @@ def feynman_kernel_quadrature(omega: float, tau: float, eps: float, e_cut: float
     return complex(total / (2.0 * np.pi))
 
 
+# below this argument Ci and Si come from their power series, above it from
+# the continued fraction of E1(ix)
+_CISI_SERIES_MAX = 2.0
+_CISI_TERMS = 30      # series terms; the last is below 1e-25 at x = 2
+_CF_MAX_ITER = 200    # x = 2 converges after 87 terms
+
+
+def _e1_aux(x: np.ndarray) -> np.ndarray:
+    """h(x) = e^{ix} E1(ix) = g(x) - i f(x) for x >= 2, f and g the
+    auxiliary functions of Ci and Si (Abramowitz & Stegun 5.2.8-9).
+
+    Modified Lentz evaluation of E1(z) = e^{-z} / (z + 1 - 1/(z + 3 - 4/(z + 5 - ...)))
+    at z = ix (Numerical Recipes, 3rd ed., section 6.9).
+    """
+    b = 1.0 + 1j * x
+    c = np.full_like(b, 1.0 / np.finfo(float).tiny)
+    d = 1.0 / b
+    h = d.copy()
+    converged = np.zeros(x.shape, dtype=bool)
+    for i in range(1, _CF_MAX_ITER):
+        a = -float(i * i)
+        b = b + 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        h *= delta
+        converged |= np.abs(delta - 1.0) <= np.finfo(float).eps
+        if converged.all():
+            return h
+    raise ArithmeticError("E1(ix) continued fraction did not converge")
+
+
+def _cisi(x) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine and sine integrals Ci(x), Si(x) for x > 0.
+
+    Power series below x = 2; above it, from the auxiliary functions of
+    _e1_aux: Ci = f sin x - g cos x and Si = pi/2 - f cos x - g sin x.
+    """
+    x = np.asarray(x, dtype=float)
+    ci = np.empty_like(x)
+    si = np.empty_like(x)
+    small = x < _CISI_SERIES_MAX
+    xs = x[small]
+    # Ci(x) + i Si(x) = gamma + ln x + sum_{k >= 1} (ix)^k / (k k!)
+    k = np.arange(1, _CISI_TERMS + 1)
+    series = (np.cumprod(1j * xs[:, None] / k, axis=1) / k).sum(axis=1)
+    ci[small] = np.euler_gamma + np.log(xs) + series.real
+    si[small] = series.imag
+    xl = x[~small]
+    h = _e1_aux(xl)
+    f, g = -h.imag, h.real
+    ci[~small] = f * np.sin(xl) - g * np.cos(xl)
+    si[~small] = 0.5 * np.pi - (f * np.cos(xl) + g * np.sin(xl))
+    return ci, si
+
+
 def truncation_tail(omega: float, tau: float, e_cut: float) -> complex:
     """The |E| > e_cut remainder of the eps -> 0 kernel integral.
 
-    Both tails combine to (1/pi) * int_{e_cut}^inf cos(E tau)/(E^2 - omega^2) dE,
-    a pole-free slowly decaying integral handled by adaptive quadrature with
-    the oscillatory-weight rule when tau != 0.
+    Both tails combine to T = (1/pi) int_a^inf cos(E tau)/(E^2 - omega^2) dE
+    with a = e_cut.  By partial fractions, with x_-/+ = (a -/+ omega)|tau|,
+
+        2 pi omega T = Re[e^{-i a |tau|} (h(x_-) - h(x_+))],
+
+    h(x) = e^{ix} E1(ix) = -e^{ix} (Ci(x) + i (pi/2 - Si(x))).  Above x = 2
+    h comes straight from the continued fraction, so pi/2 - Si is never
+    formed by subtraction and both terms share the one phase e^{-i a |tau|}.
+    At tau = 0, T = ln((a + omega)/(a - omega)) / (2 pi omega).
     """
-    f = lambda e: 1.0 / (e * e - omega * omega)
-    if tau == 0:
-        val, _ = integrate.quad(f, e_cut, np.inf)
+    if not 0 < omega < e_cut:
+        raise ValueError("need 0 < omega < e_cut")
+    t = abs(tau)
+    if t == 0:
+        return complex(np.log1p(2.0 * omega / (e_cut - omega)) / (2.0 * np.pi * omega))
+    x = np.array([e_cut - omega, e_cut + omega]) * t
+    if x[0] >= _CISI_SERIES_MAX:
+        h = _e1_aux(x)
     else:
-        val, _ = integrate.quad(f, e_cut, np.inf, weight="cos", wvar=abs(tau))
-    return complex(val / np.pi)
+        ci, si = _cisi(x)
+        h = -np.exp(1j * x) * (ci + 1j * (0.5 * np.pi - si))
+    return complex((np.exp(-1j * e_cut * t) * (h[0] - h[1])).real
+                   / (2.0 * np.pi * omega))
 
 
 def richardson_kernel(omega: float, tau: float,

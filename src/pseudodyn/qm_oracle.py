@@ -23,10 +23,9 @@ comparison is up to a constant, their normalization never enters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
-from scipy import linalg as sla
 
 from .reports import ResidualReport
 from .sources import exponent_coefficients
@@ -95,38 +94,28 @@ class QMGrid:
         return float(np.sqrt(np.sum(np.abs(psi) ** 2, axis=-1) * self.dq))
 
 
-def _dense_h(grid: QMGrid) -> np.ndarray:
-    """Dense grid Hamiltonian: the spectral kinetic term is the circulant
-    matrix whose first column is the inverse FFT of its symbol."""
-    kin = 0.5 * grid.hbar**2 * grid.wavenumbers**2
-    h = sla.circulant(np.fft.ifft(kin).real)
-    h[np.diag_indices_from(h)] += grid.potential
-    return h
-
-
-@lru_cache
 def ground_state(grid: QMGrid) -> np.ndarray:
-    """Normalized oscillator ground state on the grid, read-only.
+    """Normalized oscillator ground state on the grid.
 
-    The lowest eigenvector of the dense grid Hamiltonian (spectral kinetic
-    term plus the diagonal potential), from one symmetric eigensolve.  The
-    eigen-residual ||H psi - E psi|| is gated by _EIGEN_TOL; float64 floors
-    it near eps * ||H|| (about 4e-12 on the default acceptance grid).  The
-    sign is fixed so that the largest-magnitude entry is positive.  The
-    state is computed once per grid (QMGrid is frozen and hashable) and
-    the same array is returned for every equal grid.
+    The analytic vacuum exp(-omega q^2 / (2 h)), gated on its eigen-residual
+    ||H psi - E psi|| <= _EIGEN_TOL for the grid Hamiltonian (spectral
+    kinetic term by one FFT pair plus the diagonal potential, E the
+    Rayleigh quotient).  float64 floors the residual near 1e-12 on the
+    default grids; a box too small for the vacuum's width wraps its tails
+    around the periodic grid and fails the gate (omega 0.3 on [-12, 12]
+    reaches 8e-9).
     """
-    h_dense = _dense_h(grid)
-    energies, vecs = sla.eigh(h_dense, subset_by_index=[0, 0])
-    psi = vecs[:, 0] / grid.norm(vecs[:, 0])
-    residual = grid.norm(h_dense @ psi - energies[0] * psi)
+    psi = np.exp(-0.5 * grid.omega / grid.hbar * grid.q**2)
+    psi /= grid.norm(psi)
+    kin = 0.5 * grid.hbar**2 * grid.wavenumbers**2
+    h_psi = np.fft.ifft(kin * np.fft.fft(psi)).real + grid.potential * psi
+    energy = (psi @ h_psi) / (psi @ psi)
+    residual = grid.norm(h_psi - energy * psi)
     if residual > _EIGEN_TOL:
         raise RuntimeError(
-            f"ground state eigen-residual {residual:.3e} above {_EIGEN_TOL:g}"
+            f"ground state eigen-residual {residual:.3e} above {_EIGEN_TOL:g}; "
+            "enlarge the grid"
         )
-    if psi[np.argmax(np.abs(psi))] < 0:
-        psi = -psi
-    psi.setflags(write=False)
     return psi
 
 

@@ -205,7 +205,10 @@ def schrodinger_residual(state: EvolutionState, tol_coeff: float = 1e-10,
     u-independence of the sampled residual; the fd column re-derives the
     time derivative by finite differences at step dt_step (default
     3e-4 / omega_max, recorded in params).  With the first-order
-    calibration this mode form closes only at unit hbar.
+    calibration this mode form closes only at unit hbar.  The trace part of
+    Q0 is compared with c_sign times the zero-point energy
+    sum_k h omega_k / 2, taken from the frequencies alone, and the gap is
+    reported as params["trace_identity_gap"].
     """
     ms = state.space
     h = ms.hbar
@@ -217,10 +220,11 @@ def schrodinger_residual(state: EvolutionState, tol_coeff: float = 1e-10,
     max_q2 = float(np.max(np.abs(h_q2)))
     max_q1 = float(np.max(np.abs(resid_q1)))
 
-    # normal-ordering split of the constant: Q0 = -(b^T C b + tr(2A C))
+    # normal-ordering split of the constant: Q0 = -(b^T C b + tr(2A C)); the
+    # trace part is judged against the zero-point energy sum_k h omega_k / 2
     q0_b_part, q0_trace = _hamiltonian_q0_parts(state, g)
     resid_q0 = -(q0_b_part + q0_trace)
-    trace_gap = abs(resid_q0 + q0_b_part + q0_trace)
+    trace_gap = abs(q0_trace - c_sign * 0.5 * h * float(np.sum(ms.frequencies)))
 
     us, uu, dt = _fd_samples(ms, u_samples, seed, u_scale, dt_step)
     spread = (float(np.max(np.abs(_pair_values(-h_q2, resid_q1, us, uu))))

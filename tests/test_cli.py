@@ -66,6 +66,8 @@ BAD_INPUTS = [
     ("sweep", ["--v-spec", "single:3"], {"sweep_modes": [2, 8]}),
     # the mode-bridge grid at omega ~ 20 needs dt <= 5e-4
     ("oracle-qm", ["--mass", "20"], None),
+    # [-12, 12] is too small a box for the omega 0.3 vacuum
+    ("oracle-qm", [], {"qm_omega": 0.3}),
 ]
 
 

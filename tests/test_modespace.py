@@ -48,6 +48,8 @@ def test_out_of_range_index_rejected():
         ms.index_of(5)
     with pytest.raises(IndexError):
         ms.index_of(-4)
+    with pytest.raises(IndexError, match=r"outside \{0, \.\.\., 1\}"):
+        build_mode_space(2, 1.0, 1.0).index_of(3)
 
 
 def test_frequency_multiset_negation_invariant():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 from pseudodyn import (PoleResolutionError, feynman_kernel_closed,
                        feynman_kernel_quadrature, richardson_kernel,
                        truncation_tail)
+from pseudodyn.propagator import _cisi
 
 
 def test_closed_form_frozen_values():
@@ -89,3 +91,33 @@ def test_richardson_needs_two_eps():
 def test_e_cut_validated():
     with pytest.raises(ValueError):
         feynman_kernel_quadrature(1.0, 0.0, 1e-3, 5.0)
+
+
+def test_cisi_matches_scipy_sici():
+    x = np.concatenate([np.geomspace(1e-6, 1e5, 4001),
+                        np.linspace(1.9, 2.1, 201)])
+    ci, si = _cisi(x)
+    ref_si, ref_ci = special.sici(x)
+    assert np.all(np.abs(ci - ref_ci) <= 1e-13 * np.maximum(1.0, np.abs(ref_ci)))
+    assert np.all(np.abs(si - ref_si) <= 1e-13 * np.maximum(1.0, np.abs(ref_si)))
+
+
+def _quadrature_tail(omega, tau, e_cut):
+    """(1/pi) int_{e_cut}^inf cos(E tau)/(E^2 - omega^2) dE by adaptive
+    quadrature, with the oscillatory-weight rule when tau != 0."""
+    f = lambda e: 1.0 / (e * e - omega * omega)
+    if tau == 0:
+        val, _ = integrate.quad(f, e_cut, np.inf)
+    else:
+        val, _ = integrate.quad(f, e_cut, np.inf, weight="cos", wvar=abs(tau))
+    return val / np.pi
+
+
+def test_truncation_tail_matches_quadrature_reference():
+    for omega in (0.5, 1.0, 2.0, 3.7):
+        for tau in (0.0, 1e-4, 0.01, 0.7, 2.0, 12.0):
+            for cut in (10.0, 200.0, 1000.0):
+                ref = _quadrature_tail(omega, tau, cut * omega)
+                got = truncation_tail(omega, tau, cut * omega)
+                assert got.imag == 0.0
+                assert abs(got.real - ref) <= 1e-5 * abs(ref), (omega, tau, cut)

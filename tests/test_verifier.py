@@ -90,6 +90,20 @@ def test_schrodinger_constant_splits_into_trace_and_layer_parts(state):
     assert report.params["trace_identity_gap"] <= 1e-12 * max(1.0, abs(q0))
 
 
+def test_trace_gap_catches_a_trace_off_by_one_mode(state, monkeypatch):
+    # the trace part summed over every mode but the lightest one
+    q0_parts = verifier._hamiltonian_q0_parts
+
+    def short_trace(st, g):
+        b_part, trace = q0_parts(st, g)
+        k = int(np.argmin(st.space.frequencies))
+        return b_part, trace - 2.0 * st.coeffs.a_pair[k] * g[k]
+
+    monkeypatch.setattr(verifier, "_hamiltonian_q0_parts", short_trace)
+    report = schrodinger_residual(state)
+    assert report.params["trace_identity_gap"] > 1e-12 * max(1.0, abs(report.q0))
+
+
 def test_schrodinger_q0_independent_of_sample_seed(state):
     r1 = schrodinger_residual(state, seed=1)
     r2 = schrodinger_residual(state, seed=2)
