@@ -147,21 +147,52 @@ def test_propagate_leaves_input_untouched(grid, vacuum):
     assert np.array_equal(psi0, before)
 
 
-def test_ground_state_matches_dense_eigensolve(grid, vacuum):
-    # reference: lowest eigenvector of the dense grid Hamiltonian, its
-    # kinetic part the FFT of the identity
-    n = grid.n_points
+def _dense_hamiltonian(g):
+    """Dense grid Hamiltonian, its kinetic part the FFT of the identity."""
+    kin = 0.5 * g.hbar**2 * g.wavenumbers**2
+    eye = np.eye(g.n_points)
+    k_dense = np.fft.ifft(kin[:, None] * np.fft.fft(eye, axis=0), axis=0).real
+    return 0.5 * (k_dense + k_dense.T) + np.diag(g.potential)
+
+
+def _assert_lowest_eigenvector(g, state):
+    h = _dense_hamiltonian(g)
+    energies, vecs = np.linalg.eigh(h)
+    ref = vecs[:, 0] / g.norm(vecs[:, 0])
+    ref *= np.sign(ref[np.argmax(np.abs(ref))])
+    assert np.max(np.abs(state - ref)) < 1e-12
+    assert g.norm(h @ state - energies[0] * state) < _EIGEN_TOL
+
+
+def test_circulant_hamiltonian_matches_fft_of_identity(grid, vacuum):
+    # the gate's matvec (one FFT pair plus the diagonal potential) is the
+    # FFT-of-identity Hamiltonian, and the vacuum is its lowest eigenvector
+    h = _dense_hamiltonian(grid)
+    kin = 0.5 * grid.hbar**2 * grid.wavenumbers**2
+    matvec = np.fft.ifft(kin * np.fft.fft(vacuum)).real + grid.potential * vacuum
+    # relative to |H| |psi|, the rounding scale of a dense matvec
+    scale = np.max(np.abs(h) @ np.abs(vacuum))
+    assert np.max(np.abs(matvec - h @ vacuum)) <= 1e-12 * scale
+    _assert_lowest_eigenvector(grid, vacuum)
+
+
+def test_ground_state_cached_per_grid_and_read_only(grid, vacuum):
+    # no cache: an equal grid gives an equal, fresh array, so a caller
+    # writing into its state reaches no other caller; the read-only copies
+    # are BoundaryFactors'
+    same = QMGrid(q_min=-12.0, q_max=12.0, n_points=512, dt=1e-3, omega=1.0)
+    fresh = ground_state(same)
+    assert fresh is not vacuum and np.array_equal(fresh, vacuum)
+    fresh[0] = 1.0
+    assert np.array_equal(ground_state(same), vacuum)
+    bf = BoundaryFactors.vacuum(grid)
+    for arr in (bf.left, bf.right):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
     other = QMGrid(q_min=-12.0, q_max=12.0, n_points=512, dt=1e-3, omega=2.0)
-    for g, state in ((grid, vacuum), (other, ground_state(other))):
-        kin = 0.5 * g.hbar**2 * g.wavenumbers**2
-        k_dense = np.fft.ifft(kin[:, None] * np.fft.fft(np.eye(n), axis=0),
-                              axis=0).real
-        h = 0.5 * (k_dense + k_dense.T) + np.diag(g.potential)
-        energies, vecs = np.linalg.eigh(h)
-        ref = vecs[:, 0] / g.norm(vecs[:, 0])
-        ref *= np.sign(ref[np.argmax(np.abs(ref))])
-        assert np.max(np.abs(state - ref)) < 1e-12
-        assert g.norm(h @ state - energies[0] * state) < _EIGEN_TOL
+    psi = ground_state(other)
+    assert not np.allclose(psi, vacuum)
+    _assert_lowest_eigenvector(other, psi)
 
 
 def test_ground_state_refuses_box_too_small():
