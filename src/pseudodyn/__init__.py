@@ -20,8 +20,7 @@ from .qm_oracle import (BoundaryFactors, QMGrid, compare_kernels,
                         ground_state, kernel_matrix_genfunc,
                         kernel_matrix_solver, propagate_driven)
 from .reports import ResidualReport
-from .sources import (SourceSpec, ZExponent, add_smooth_drive,
-                      delta_pair_source, z_exponent)
+from .sources import ZExponent, z_exponent
 from .verifier import (first_order_residual, gradient_check,
                        resolve_hamiltonian_signs, schrodinger_residual,
                        semigroup_check)

@@ -81,11 +81,6 @@ class RunConfig:
                 _checked(f"mode bridge grid at k={k} (from modes, box_length, mass)",
                          lambda: ground_state(_qm_grid(self, space.frequency(k))))
             _checked("drive_file", lambda: _oracle_drive(self))
-        if command in ("verify-schrodinger", "sweep"):
-            _checked("hbar", lambda: _require(
-                self.hbar == 1.0,
-                f"must be 1 for the Schrodinger check, got {self.hbar}: the "
-                "calibrated Hamiltonian closes only at unit hbar"))
         if command == "sweep":
             for n in self.sweep_modes:
                 for m in self.sweep_masses:
@@ -188,7 +183,7 @@ def _cmd_calibrate(cfg: RunConfig) -> int:
     _write_json(Path(cfg.out) / "calibration.json", payload)
     lam = complex(calib.lambda_)
     print(f"calibration: lambda = {lam.real:+.12g}{lam.imag:+.12g}i  "
-          f"(c1, c2) = ({calib.c1}, {calib.c2})")
+          f"c2 = {calib.c2}")
     return 0
 
 

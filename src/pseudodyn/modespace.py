@@ -103,15 +103,6 @@ class ModeSpace:
             "hbar": self.hbar,
         }
 
-    @classmethod
-    def from_config(cls, record: dict) -> "ModeSpace":
-        return cls(
-            num_modes=int(record["num_modes"]),
-            box_length=float(record["box_length"]),
-            mass=float(record["mass"]),
-            hbar=float(record.get("hbar", 1.0)),
-        )
-
 
 def build_mode_space(num_modes: int, box_length: float, mass: float,
                      hbar: float = 1.0) -> ModeSpace:

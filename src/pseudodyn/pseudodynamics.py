@@ -20,8 +20,9 @@ evolution equation
 as written; a single global rescaling u -> lambda*u closes the gap.
 ``calibrate`` solves for lambda algebraically from the raw coefficients
 (lambda^2 * 2 omega_k A_{k,-k} = 1, mode-independent by the 1/omega law) and
-records the constants (c1, c2) actually achieved in
-i dPhi/dT = sum_k u_k (c1 omega_k d/du_k - c2 u_{-k}) Phi.
+records the constant c2 actually achieved in
+i dPhi/dT = sum_k u_k (omega_k d/du_k - c2 u_{-k}) Phi; the omega_k d/du_k
+term closes for any lambda, since i db/dT = omega b holds exactly.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .gaussian import GaussianCoefficients, PairCoefficients, rescale
 from .modespace import ModeSpace, ModeVector
-from .sources import delta_pair_source, z_exponent
+from .sources import z_exponent
 
 __all__ = ["ConventionCalibration", "EvolutionState", "evolution_functional",
            "advance", "calibrate", "raw_pair_coefficients"]
@@ -40,16 +41,15 @@ __all__ = ["ConventionCalibration", "EvolutionState", "evolution_functional",
 
 @dataclass(frozen=True)
 class ConventionCalibration:
-    """Global rescaling lambda, with the achieved constants.
+    """Global rescaling lambda, with the achieved quadratic constant.
 
-    (c1, c2) = (1, 1) after a successful calibration; a forced lambda records
-    whatever constants the first-order equation then actually carries.  The
+    c2 = 1 after a successful calibration; a forced lambda records whatever
+    constant the first-order equation then actually carries.  The
     energy-transform sign is not recorded: the closed-form kernel, and with
     it every coefficient, is the same for either sign.
     """
 
     lambda_: complex
-    c1: complex = 1.0
     c2: complex = 1.0
 
     def __post_init__(self):
@@ -60,8 +60,6 @@ class ConventionCalibration:
         return {
             "lambda_re": complex(self.lambda_).real,
             "lambda_im": complex(self.lambda_).imag,
-            "c1": complex(self.c1).real if complex(self.c1).imag == 0 else
-                  [complex(self.c1).real, complex(self.c1).imag],
             "c2": complex(self.c2).real if complex(self.c2).imag == 0 else
                   [complex(self.c2).real, complex(self.c2).imag],
         }
@@ -89,9 +87,7 @@ class EvolutionState:
 
 def raw_pair_coefficients(space: ModeSpace) -> np.ndarray:
     """Uncalibrated u-u pairing coefficients a_k (proportional to 1/omega_k)."""
-    zero = ModeVector.zeros(space)
-    zx = z_exponent(space, delta_pair_source(space, zero, zero, 0.0, 0.0))
-    return zx.uu
+    return z_exponent(space, 0.0).uu
 
 
 def evolution_functional(space: ModeSpace, v_hat: ModeVector, t: float,
@@ -104,11 +100,9 @@ def evolution_functional(space: ModeSpace, v_hat: ModeVector, t: float,
     if t < 0:
         raise ValueError("t must be >= 0; backward construction is not supported")
     if calibration is None:
-        calibration = ConventionCalibration(lambda_=1.0, c1=1.0,
+        calibration = ConventionCalibration(lambda_=1.0,
                                             c2=-1.0 / (2.0 * space.hbar))
-    zx = z_exponent(space, delta_pair_source(space, ModeVector.zeros(space),
-                                             v_hat, t, 0.0))
-    g = rescale(zx.gaussian_in_u(v_hat), calibration.lambda_)
+    g = rescale(z_exponent(space, t).gaussian_in_u(v_hat), calibration.lambda_)
     return EvolutionState(space, float(t), v_hat, g, calibration)
 
 
@@ -128,7 +122,7 @@ def calibrate(space: ModeSpace, force_lambda: complex | None = None,
     Per mode the requirement is 2 (lambda^2 a_k) omega_k = 1 with a_k the raw
     pairing coefficient; a_k * omega_k must be mode-independent, so a spread
     beyond spread_tol indicates a kernel bug and raises.  The principal root
-    of lambda^2 is taken.  With force_lambda the achieved constants are
+    of lambda^2 is taken.  With force_lambda the achieved constant is
     recorded instead of enforced.
     """
     a_raw = raw_pair_coefficients(space)
@@ -147,16 +141,15 @@ def calibrate(space: ModeSpace, force_lambda: complex | None = None,
             raise ValueError("forced lambda must be nonzero")
     else:
         lam = complex(np.sqrt(center))
-    # achieved constants: c1 is structural (i db/dT = omega b holds for any
-    # lambda); c2 is the calibrated quadratic coefficient 2 omega lambda^2 a.
+    # achieved constant: the calibrated quadratic coefficient 2 omega lambda^2 a
     c2_modes = 2.0 * w * (lam * lam) * a_raw
     c2 = complex(c2_modes.mean())
-    calib = ConventionCalibration(lambda_=lam, c1=1.0, c2=c2)
+    calib = ConventionCalibration(lambda_=lam, c2=c2)
     if force_lambda is None:
         resid = float(np.max(np.abs(c2_modes - 1.0)))
         if resid > spread_tol:
             raise RuntimeError(
                 f"calibration failed to close the quadratic law (residual {resid:.3e})"
             )
-        calib = ConventionCalibration(lambda_=lam, c1=1.0, c2=1.0)
+        calib = ConventionCalibration(lambda_=lam, c2=1.0)
     return calib

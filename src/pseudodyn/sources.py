@@ -16,11 +16,14 @@ coefficients of that quadratic form in the canonical layout
                 + vv_k v_k v_{-k} + lu_k u_k + lv_k v_k ] + const,
 
 so each unordered pair is counted twice via the two orderings, matching the
-all-ordered-pairs convention of the Gaussian algebra.  Delta-delta terms
-are exact; delta-drive and drive-drive terms use trapezoid quadrature on
-the caller-supplied uniform sample grid.  exponent_coefficients is the one
-place these coefficients are computed: z_exponent calls it with the
-lattice frequencies, and the oscillator oracle with a single frequency.
+all-ordered-pairs convention of the Gaussian algebra.  The coefficients
+depend only on the window [T0, T] and the drive; the layers u and v enter
+only when the exponent is read (ZExponent.total, ZExponent.gaussian_in_u).
+Delta-delta terms are exact; delta-drive and drive-drive terms use
+trapezoid quadrature on the drive samples, spread evenly over the window.
+exponent_coefficients is the one place these coefficients are computed:
+z_exponent calls it with the lattice frequencies, and the oscillator oracle
+with a single frequency.
 """
 
 from __future__ import annotations
@@ -34,81 +37,7 @@ from .modespace import ModeSpace, ModeVector
 from .propagator import (feynman_kernel_closed, kernel_double_trapezoid,
                          kernel_trapezoid)
 
-__all__ = ["SourceSpec", "ZExponent", "delta_pair_source", "add_smooth_drive",
-           "exponent_coefficients", "z_exponent"]
-
-_SPAN_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class DriveSamples:
-    """Uniformly sampled smooth drive, one ModeVector row per time sample."""
-
-    values: np.ndarray  # (n_samples, num_modes) complex
-    dt: float
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.ndim != 2 or vals.shape[0] < 2:
-            raise ValueError("drive needs at least 2 samples of shape (n, num_modes)")
-        if self.dt <= 0:
-            raise ValueError("drive sample step must be positive")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def span(self) -> float:
-        return (self.values.shape[0] - 1) * self.dt
-
-
-@dataclass(frozen=True)
-class SourceSpec:
-    """Delta layer u at time t_final, delta layer -v at t_initial, plus drive."""
-
-    space: ModeSpace
-    u_hat: ModeVector
-    v_hat: ModeVector
-    t_final: float
-    t_initial: float
-    drive: DriveSamples | None = None
-
-    def __post_init__(self):
-        if self.t_initial > self.t_final:
-            raise ValueError(
-                f"t_initial={self.t_initial} must not exceed t_final={self.t_final}"
-            )
-        for vec in (self.u_hat, self.v_hat):
-            if vec.space.num_modes != self.space.num_modes:
-                raise ValueError("layer vectors must live on the source's mode space")
-        if self.drive is not None:
-            span = self.t_final - self.t_initial
-            if self.drive.values.shape[1] != self.space.num_modes:
-                raise ValueError("drive samples must have one column per mode")
-            if abs(self.drive.span - span) > _SPAN_RTOL * max(1.0, abs(span)):
-                raise ValueError(
-                    f"drive span {self.drive.span} does not cover [t_initial, t_final] "
-                    f"(expected {span})"
-                )
-
-
-def delta_pair_source(space: ModeSpace, u_hat: ModeVector, v_hat: ModeVector,
-                      t_final: float, t_initial: float = 0.0) -> SourceSpec:
-    """Two-layer source with no drive."""
-    return SourceSpec(space, u_hat, v_hat, t_final, t_initial)
-
-
-def add_smooth_drive(source: SourceSpec, samples, dt: float) -> SourceSpec:
-    """Attach a uniformly sampled drive covering exactly [t_initial, t_final].
-
-    samples may be an (n, num_modes) complex array or a sequence of
-    ModeVector.
-    """
-    if isinstance(samples, (list, tuple)) and samples and isinstance(samples[0], ModeVector):
-        samples = np.stack([s.values for s in samples])
-    drive = DriveSamples(np.asarray(samples, dtype=complex), float(dt))
-    return SourceSpec(source.space, source.u_hat, source.v_hat,
-                      source.t_final, source.t_initial, drive)
+__all__ = ["ZExponent", "exponent_coefficients", "z_exponent"]
 
 
 @dataclass(frozen=True)
@@ -174,8 +103,13 @@ def exponent_coefficients(omegas, negation, hbar: float, t_initial: float,
     [t_initial, t_final] (n >= 2); mode k pairs with mode negation[k].
     Every term carries the (-i/2h) prefactor of the generating functional.
     Delta-delta terms are exact; delta-drive and drive-drive terms are
-    trapezoid sums on the sample grid.
+    trapezoid sums on the sample grid.  A backwards window (t_initial >
+    t_final) raises ValueError: the kernel's |tau| would fold it onto the
+    forward one.
     """
+    if t_initial > t_final:
+        raise ValueError(
+            f"t_initial={t_initial} must not exceed t_final={t_final}")
     pref = -0.5j / hbar
     uu = pref * feynman_kernel_closed(omegas, 0.0)
     uv = -pref * feynman_kernel_closed(omegas, t_final - t_initial)
@@ -191,15 +125,19 @@ def exponent_coefficients(omegas, negation, hbar: float, t_initial: float,
             -2.0 * pref * i_initial[negation], pref * complex(dd.sum()))
 
 
-def z_exponent(space: ModeSpace, source: SourceSpec) -> ZExponent:
-    """Evaluate log Z on a composite source, mode by mode.
+def z_exponent(space: ModeSpace, t_final: float, t_initial: float = 0.0,
+               drive=None) -> ZExponent:
+    """Evaluate log Z on the two-layer source over [t_initial, t_final].
 
-    The zero source gives the all-zero exponent (Z = 1).  Lattice measure
-    factors are deliberately left to the downstream calibration.
+    drive, if given, is an (n >= 2, num_modes) array of samples spread
+    evenly over the window.  The zero source gives the all-zero exponent
+    (Z = 1).  Lattice measure factors are deliberately left to the
+    downstream calibration.
     """
-    if source.space.num_modes != space.num_modes:
-        raise ValueError("source was built on a different mode space")
-    drive = None if source.drive is None else source.drive.values
+    if drive is not None:
+        drive = np.asarray(drive, dtype=complex)
+        if drive.ndim != 2 or drive.shape[0] < 2 or drive.shape[1] != space.num_modes:
+            raise ValueError(
+                f"drive must have shape (n >= 2, {space.num_modes}), got {drive.shape}")
     return ZExponent(space, *exponent_coefficients(
-        space.frequencies, space.negation, space.hbar,
-        source.t_initial, source.t_final, drive))
+        space.frequencies, space.negation, space.hbar, t_initial, t_final, drive))

@@ -6,10 +6,11 @@ the Gaussian exponent) and spot-checked numerically second:
 * first-order: i dPhi/dT = sum_k u_k (omega_k d/du_k - u_{-k}) Phi must hold
   exactly after calibration; every residual coefficient is judged.
 * Schrodinger form: (i h d/dT - H) Phi / Phi with the mode-space Hamiltonian
-  H = sum_k [ q_sign/2 u_k u_{-k} + c_sign/2 h^2 omega_k^2 d^2/(du_k du_{-k}) ]
-  must be independent of u; the surviving constant is reported as a function
-  of T, never judged (that constant absorbs both normal ordering and the
-  free normalization of the initial-layer factor).
+  H = h sum_k [ q_sign/2 u_k u_{-k} + c_sign/2 omega_k^2 d^2/(du_k du_{-k}) ],
+  that is H = h * H|_{h=1}, must be independent of u; the surviving constant
+  is reported as a function of T, never judged (it is minus the layer part
+  minus the zero-point energy: normal ordering plus the free normalization
+  of the initial-layer factor).
 
 The Hamiltonian pairing signs depend on an unstated spatial transform
 convention, so both are tried and the passing pair recorded.
@@ -18,9 +19,9 @@ States carry A in pair form (a_k = A_{k,-k}, see gaussian.PairCoefficients),
 so both identities are per-mode closed forms and no check builds an N x N
 array.  The residual polynomials are supported on the pairings, Q2 as
 Q2_k u_k u_{-k}.  First order: Q2_k = 1 - 2 omega_k a_k and Q1 = 0.  With
-g_k = c_sign h^2 omega_k^2 / 2, H Phi / Phi has
+g_k = c_sign h omega_k^2 / 2, H Phi / Phi has
 
-    Q2_k = 4 a_k^2 g_k + q_sign/2,   Q1_k = 4 a_k g_k b_k,
+    Q2_k = 4 a_k^2 g_k + q_sign h/2,   Q1_k = 4 a_k g_k b_k,
     Q0 = sum_k b_k g_k b_{-k} + sum_k 2 a_k g_k.
 
 The dense operators gaussian.apply_first_order / apply_second_order give the
@@ -147,7 +148,6 @@ def first_order_residual(state: EvolutionState, tol_coeff: float = 1e-12,
     params = _base_params(state, seed)
     params.update({
         "dt_step": dt, "u_samples": u_samples,
-        "achieved_c1": 1.0,
         "achieved_c2": complex((2.0 * ms.frequencies * state.coeffs.a_pair).mean()),
     })
     ok = max_q2 < tol_coeff and fd_max < tol_numeric
@@ -166,9 +166,9 @@ def _hamiltonian(state: EvolutionState, q_sign: int, c_sign: int):
     ms = state.space
     w = ms.frequencies
     h = ms.hbar
-    g = 0.5 * c_sign * h * h * w * w
+    g = 0.5 * c_sign * h * w * w
     a2 = 2.0 * state.coeffs.a_pair
-    return a2 * g * a2 + 0.5 * q_sign, 2.0 * (a2 * (g * state.coeffs.b)), g
+    return a2 * g * a2 + 0.5 * q_sign * h, 2.0 * (a2 * (g * state.coeffs.b)), g
 
 
 def _hamiltonian_q0_parts(state: EvolutionState, g: np.ndarray) -> tuple[complex, complex]:
@@ -204,11 +204,11 @@ def schrodinger_residual(state: EvolutionState, tol_coeff: float = 1e-10,
     reported as the recovered T function.  The numeric spread column checks
     u-independence of the sampled residual; the fd column re-derives the
     time derivative by finite differences at step dt_step (default
-    3e-4 / omega_max, recorded in params).  With the first-order
-    calibration this mode form closes only at unit hbar.  The trace part of
-    Q0 is compared with c_sign times the zero-point energy
-    sum_k h omega_k / 2, taken from the frequencies alone, and the gap is
-    reported as params["trace_identity_gap"].
+    3e-4 / omega_max, recorded in params).  H = h * H|_{h=1}, so with the
+    first-order calibration (a_k = 1 / (2 omega_k) at every h) the form
+    closes at any hbar.  The trace part of Q0 is compared with c_sign times
+    the zero-point energy sum_k h omega_k / 2, taken from the frequencies
+    alone, and the gap is reported as params["trace_identity_gap"].
     """
     ms = state.space
     h = ms.hbar

@@ -35,6 +35,9 @@ def test_calibrate_writes_record(tmp_path):
     payload = json.loads((out / "calibration.json").read_text())
     assert payload["calibration"]["lambda_im"] == pytest.approx(np.sqrt(2.0))
     assert payload["calibration"]["c2"] == 1.0
+    assert "c1" not in payload["calibration"]
+    assert payload["space"] == {"num_modes": 16, "box_length": 2.0 * np.pi,
+                                "mass": 1.0, "hbar": 1.0}
 
 
 def test_verify_commands_pass(tmp_path):
@@ -183,7 +186,12 @@ def test_drive_file_finer_than_qm_dt_refused(tmp_path, capsys):
                         capsys, reason)
 
 
-def test_schrodinger_at_hbar_other_than_one_refused(tmp_path, capsys):
-    for i, command in enumerate(("verify-schrodinger", "sweep")):
-        _assert_refused([command, "--hbar", "2"], tmp_path / f"r{i}", capsys,
-                        "config error: hbar: must be 1")
+def test_schrodinger_at_hbar_other_than_one_passes(tmp_path):
+    out = tmp_path / "r"
+    assert main(["verify-schrodinger", "--hbar", "2", "--out", str(out)]) == 0
+    report = json.loads((out / "schrodinger.json").read_text())
+    assert report["verdict"] == "pass" and report["params"]["hbar"] == 2.0
+    assert main(["sweep", "--hbar", "2", "--out", str(out)]) == 0
+    sweep = json.loads((out / "sweep.json").read_text())
+    assert sweep["verdict"] == "pass"
+    assert {r["params"]["hbar"] for r in sweep["reports"]} == {2.0}

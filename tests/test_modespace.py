@@ -72,12 +72,6 @@ def test_self_paired_modes():
     assert list(ks) == [0, 4]
 
 
-def test_config_round_trip():
-    ms = build_mode_space(8, 2.5, 0.7, hbar=2.0)
-    again = ModeSpace.from_config(ms.to_config())
-    assert again == ms
-
-
 def test_arrays_read_only():
     ms = build_mode_space(8, 1.0, 1.0)
     with pytest.raises(ValueError):

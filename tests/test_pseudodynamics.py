@@ -3,9 +3,8 @@ import pytest
 
 from pseudodyn import (ConventionCalibration, EvolutionState,
                        GaussianCoefficients, ModeVector, advance,
-                       build_mode_space, calibrate, delta_pair_source,
-                       evolution_functional, raw_pair_coefficients,
-                       z_exponent)
+                       build_mode_space, calibrate, evolution_functional,
+                       raw_pair_coefficients, z_exponent)
 
 
 @pytest.fixture
@@ -27,7 +26,7 @@ def test_calibration_solves_lambda(ms):
     calib = calibrate(ms)
     # lambda^2 = -2 at h = 1, principal root i*sqrt(2)
     assert complex(calib.lambda_) == pytest.approx(1j * np.sqrt(2.0))
-    assert calib.c1 == 1.0 and calib.c2 == 1.0
+    assert calib.c2 == 1.0
 
 
 def test_calibration_lambda_scales_with_hbar():
@@ -40,7 +39,6 @@ def test_forced_identity_lambda_records_gap(ms):
     calib = calibrate(ms, force_lambda=1.0)
     assert complex(calib.lambda_) == 1.0
     assert complex(calib.c2) == pytest.approx(-0.5)
-    assert calib.c1 == 1.0
 
 
 def test_zero_initial_layer(ms):
@@ -55,7 +53,7 @@ def test_zero_initial_layer(ms):
 def test_t_zero_matches_direct_substitution(ms):
     v = unit_random(ms, 1)
     st = evolution_functional(ms, v, 0.0)
-    zx = z_exponent(ms, delta_pair_source(ms, ModeVector.zeros(ms), v, 0.0, 0.0))
+    zx = z_exponent(ms, 0.0)
     g = zx.gaussian_in_u(v)
     assert np.array_equal(st.coeffs.a, g.a)
     assert np.array_equal(st.coeffs.b, g.b)

@@ -103,6 +103,15 @@ def test_single_sample_drive_rejected(grid, vacuum):
             kernel_matrix_genfunc([0.5], [0.5], 1.0, 1.0, 0.0, 1.0, drive)
 
 
+def test_backwards_window_refused_on_both_sides(grid, boundary):
+    # the kernel's |tau| would fold [1, 0] onto [0, 1] on the
+    # generating-functional side; both sides refuse it instead
+    with pytest.raises(ValueError, match="must be >= t_initial"):
+        kernel_matrix_solver(grid, boundary, [0.5], [0.5], 1.0, 0.0)
+    with pytest.raises(ValueError, match="must not exceed t_final"):
+        kernel_matrix_genfunc([0.5], [0.5], 1.0, 1.0, 1.0, 0.0)
+
+
 def _unfused_strang(psi0, grid, t_initial, t_final, drive=None):
     """Reference split-step loop: both potential half-steps in every step."""
     psi = np.array(psi0, dtype=complex)

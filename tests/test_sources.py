@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from pseudodyn import (ModeVector, add_smooth_drive, build_mode_space,
-                       delta_pair_source, feynman_kernel_quadrature,
-                       z_exponent)
+from pseudodyn import (ModeVector, build_mode_space,
+                       feynman_kernel_quadrature, z_exponent)
 from pseudodyn.qm_oracle import kernel_matrix_genfunc
 
 
@@ -20,21 +19,19 @@ def unit_random(space, seed):
 
 def test_zero_source_gives_unit_z(ms):
     zero = ModeVector.zeros(ms)
-    zx = z_exponent(ms, delta_pair_source(ms, zero, zero, 1.0, 0.0))
+    zx = z_exponent(ms, 1.0)
     assert zx.total(zero, zero) == 0.0
     assert np.exp(zx.total(zero, zero)) == 1.0
 
 
 def test_uu_coefficient_value(ms):
-    zx = z_exponent(ms, delta_pair_source(ms, ModeVector.zeros(ms),
-                                          ModeVector.zeros(ms), 1.0, 0.0))
+    zx = z_exponent(ms, 1.0)
     assert np.allclose(zx.uu, -1.0 / (4.0 * ms.frequencies), rtol=1e-14)
 
 
 def test_uu_coefficient_against_quadrature_oracle(ms):
     # the same value derived from the regularized energy integral
-    zx = z_exponent(ms, delta_pair_source(ms, ModeVector.zeros(ms),
-                                          ModeVector.zeros(ms), 1.0, 0.0))
+    zx = z_exponent(ms, 1.0)
     k = ms.index_of(1)
     omega = ms.frequencies[k]
     oracle = -0.5j * feynman_kernel_quadrature(omega, 0.0, 1e-4, 1e3 * omega)
@@ -43,8 +40,7 @@ def test_uu_coefficient_against_quadrature_oracle(ms):
 
 def test_cross_ratio_modulus_and_phase(ms):
     gap = 0.9
-    zx = z_exponent(ms, delta_pair_source(ms, ModeVector.zeros(ms),
-                                          ModeVector.zeros(ms), gap, 0.0))
+    zx = z_exponent(ms, gap)
     ratio = zx.cross_ratio()
     assert np.allclose(np.abs(ratio), 1.0, rtol=1e-14)
     # the phase advances as e^{-i omega gap}; the fixed -1 in front is the
@@ -53,10 +49,8 @@ def test_cross_ratio_modulus_and_phase(ms):
 
 
 def test_cross_phase_evolution_law(ms):
-    z0 = z_exponent(ms, delta_pair_source(ms, ModeVector.zeros(ms),
-                                          ModeVector.zeros(ms), 0.0, 0.0))
-    z1 = z_exponent(ms, delta_pair_source(ms, ModeVector.zeros(ms),
-                                          ModeVector.zeros(ms), 1.3, 0.0))
+    z0 = z_exponent(ms, 0.0)
+    z1 = z_exponent(ms, 1.3)
     assert np.allclose(z1.uv / z0.uv, np.exp(-1j * ms.frequencies * 1.3),
                        rtol=1e-14)
 
@@ -64,7 +58,7 @@ def test_cross_phase_evolution_law(ms):
 def test_coincident_layers_collapse_to_single_layer(ms):
     u = unit_random(ms, 1)
     v = unit_random(ms, 2)
-    zx = z_exponent(ms, delta_pair_source(ms, u, v, 2.0, 2.0))
+    zx = z_exponent(ms, 2.0, 2.0)
     merged = ModeVector(ms, u.values - v.values)
     zero = ModeVector.zeros(ms)
     assert zx.total(u, v) == pytest.approx(zx.total(merged, zero), rel=1e-12)
@@ -72,23 +66,17 @@ def test_coincident_layers_collapse_to_single_layer(ms):
 
 def test_t_order_validated(ms):
     with pytest.raises(ValueError):
-        delta_pair_source(ms, ModeVector.zeros(ms), ModeVector.zeros(ms),
-                          0.0, 1.0)
+        z_exponent(ms, 0.0, 1.0)
 
 
 def test_source_scaling_is_quadratic(ms):
     u = unit_random(ms, 3)
     v = unit_random(ms, 4)
-    src = delta_pair_source(ms, u, v, 1.5, 0.0)
     tt = np.linspace(0.0, 1.5, 151)
     drive = np.outer(np.sin(tt), np.ones(ms.num_modes)) * 0.2
-    src = add_smooth_drive(src, drive, tt[1] - tt[0])
-    zx = z_exponent(ms, src)
+    zx = z_exponent(ms, 1.5, drive=drive)
     alpha = 1.7
-    src2 = delta_pair_source(ms, ModeVector(ms, alpha * u.values),
-                             ModeVector(ms, alpha * v.values), 1.5, 0.0)
-    src2 = add_smooth_drive(src2, alpha * drive, tt[1] - tt[0])
-    zx2 = z_exponent(ms, src2)
+    zx2 = z_exponent(ms, 1.5, drive=alpha * drive)
     ua, va = ModeVector(ms, alpha * u.values), ModeVector(ms, alpha * v.values)
     assert zx2.total(ua, va) == pytest.approx(alpha**2 * zx.total(u, v), rel=1e-12)
 
@@ -96,7 +84,7 @@ def test_source_scaling_is_quadratic(ms):
 def test_layer_exchange_symmetry(ms):
     u = unit_random(ms, 5)
     v = unit_random(ms, 6)
-    zx = z_exponent(ms, delta_pair_source(ms, u, v, 1.2, 0.0))
+    zx = z_exponent(ms, 1.2)
     assert zx.total(u, v) == pytest.approx(zx.total(v, u), rel=1e-12)
     mu = ModeVector(ms, -u.values)
     mv = ModeVector(ms, -v.values)
@@ -106,22 +94,21 @@ def test_layer_exchange_symmetry(ms):
 def test_zero_drive_changes_nothing(ms):
     u = unit_random(ms, 7)
     v = unit_random(ms, 8)
-    bare = delta_pair_source(ms, u, v, 2.0, 0.0)
-    driven = add_smooth_drive(bare, np.zeros((21, ms.num_modes)), 0.1)
-    zb = z_exponent(ms, bare)
-    zd = z_exponent(ms, driven)
+    zb = z_exponent(ms, 2.0)
+    zd = z_exponent(ms, 2.0, drive=np.zeros((21, ms.num_modes)))
     assert zb.total(u, v) == pytest.approx(zd.total(u, v), rel=1e-14)
     assert np.allclose(zd.lin_u, 0.0) and np.allclose(zd.lin_v, 0.0)
     assert zd.const == 0.0
 
 
-def test_drive_span_mismatch_rejected(ms):
-    src = delta_pair_source(ms, ModeVector.zeros(ms), ModeVector.zeros(ms),
-                            2.0, 0.0)
-    with pytest.raises(ValueError):
-        add_smooth_drive(src, np.zeros((11, ms.num_modes)), 0.1)  # spans 1.0
-    with pytest.raises(ValueError):
-        add_smooth_drive(src, np.zeros((1, ms.num_modes)), 0.1)
+def test_drive_shape_rejected(ms):
+    # the samples define their own step over the window, so only the shape
+    # (n >= 2, num_modes) can be wrong
+    for drive in (np.zeros((1, ms.num_modes)),
+                  np.zeros((11, ms.num_modes + 1)),
+                  np.zeros(11)):
+        with pytest.raises(ValueError, match="drive must have shape"):
+            z_exponent(ms, 2.0, drive=drive)
 
 
 def test_delta_drive_integral_against_adaptive_quadrature(ms):
@@ -131,10 +118,7 @@ def test_delta_drive_integral_against_adaptive_quadrature(ms):
     drive = np.zeros((tt.size, ms.num_modes))
     k = ms.index_of(1)
     drive[:, k] = np.sin(tt)
-    src = add_smooth_drive(
-        delta_pair_source(ms, ModeVector.zeros(ms), ModeVector.zeros(ms),
-                          t_final, 0.0), drive, tt[1] - tt[0])
-    zx = z_exponent(ms, src)
+    zx = z_exponent(ms, t_final, drive=drive)
     omega = ms.frequencies[k]
 
     def integrand_re(t):
@@ -161,9 +145,7 @@ def test_single_mode_matches_qm_genfunc_formula():
     drive[:, ms2.index_of(0)] = np.sin(2.0 * tt)
     u = ModeVector.basis(ms2, 0, p)
     v = ModeVector.basis(ms2, 0, p0)
-    src = add_smooth_drive(delta_pair_source(ms2, u, v, t_final, 0.0),
-                           drive, tt[1] - tt[0])
-    zx = z_exponent(ms2, src)
+    zx = z_exponent(ms2, t_final, drive=drive)
     expected = kernel_matrix_genfunc([p0], [p], ms2.mass, 1.0, 0.0, t_final,
                                      drive[:, ms2.index_of(0)].real)[0, 0]
     assert np.exp(zx.total(u, v)) == pytest.approx(expected, rel=1e-12)
@@ -175,10 +157,7 @@ def test_drive_drive_term_against_dense_double_sum(ms):
     n = 301
     tt = np.linspace(0.0, t_final, n)
     drive = rng.normal(size=(n, ms.num_modes)) + 1j * rng.normal(size=(n, ms.num_modes))
-    src = add_smooth_drive(
-        delta_pair_source(ms, ModeVector.zeros(ms), ModeVector.zeros(ms),
-                          t_final, 0.0), drive, tt[1] - tt[0])
-    zx = z_exponent(ms, src)
+    zx = z_exponent(ms, t_final, drive=drive)
     w = np.full(n, tt[1] - tt[0])
     w[0] = w[-1] = 0.5 * (tt[1] - tt[0])
     dense = 0.0 + 0.0j
@@ -192,7 +171,7 @@ def test_drive_drive_term_against_dense_double_sum(ms):
 def test_gaussian_in_u_contraction(ms):
     u = unit_random(ms, 21)
     v = unit_random(ms, 22)
-    zx = z_exponent(ms, delta_pair_source(ms, u, v, 0.8, 0.0))
+    zx = z_exponent(ms, 0.8)
     g = zx.gaussian_in_u(v)
     from pseudodyn import log_evaluate
     assert log_evaluate(g, u) == pytest.approx(zx.total(u, v), rel=1e-12)

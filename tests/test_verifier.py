@@ -104,6 +104,23 @@ def test_trace_gap_catches_a_trace_off_by_one_mode(state, monkeypatch):
     assert report.params["trace_identity_gap"] > 1e-12 * max(1.0, abs(report.q0))
 
 
+def test_schrodinger_passes_at_hbar_other_than_one():
+    # H = hbar * H|_{hbar=1}: the calibrated state closes the form at any
+    # hbar, and the trace part is the zero-point energy sum_k hbar omega_k / 2
+    for hbar in (0.5, 2.0, 3.0):
+        for n, mass, t in ((16, 1.0, 1.0), (64, 0.5, 10.0), (2, 2.0, 0.1)):
+            ms = build_mode_space(n, 2 * np.pi, mass, hbar=hbar)
+            vec = ModeVector.random(ms, np.random.default_rng(n))
+            v = ModeVector(ms, vec.values / np.linalg.norm(vec.values))
+            st = evolution_functional(ms, v, t, calibration=calibrate(ms))
+            report = schrodinger_residual(st)
+            assert report.passed, (hbar, n, mass, t, report.to_dict())
+            assert (report.params["q_sign"], report.params["c_sign"]) == (-1, 1)
+            trace = report.params["q0_trace"]
+            assert report.params["trace_identity_gap"] <= 1e-12 * max(1.0, abs(trace))
+            assert first_order_residual(st).passed
+
+
 def test_schrodinger_q0_independent_of_sample_seed(state):
     r1 = schrodinger_residual(state, seed=1)
     r2 = schrodinger_residual(state, seed=2)
