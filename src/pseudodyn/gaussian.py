@@ -171,14 +171,6 @@ class QuadraticPolynomial:
         return QuadraticPolynomial(self.q2 - other.q2, self.q1 - other.q1,
                                    self.q0 - other.q0)
 
-    @property
-    def max_abs_q2(self) -> float:
-        return float(np.max(np.abs(self.q2))) if self.q2.size else 0.0
-
-    @property
-    def max_abs_q1(self) -> float:
-        return float(np.max(np.abs(self.q1))) if self.q1.size else 0.0
-
 
 def log_evaluate(g: GaussianCoefficients, u) -> complex:
     """The exponent S(u) = u^T A u + b.u + c."""

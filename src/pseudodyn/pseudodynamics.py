@@ -38,6 +38,8 @@ from .sources import z_exponent
 __all__ = ["ConventionCalibration", "EvolutionState", "evolution_functional",
            "advance", "calibrate", "raw_pair_coefficients"]
 
+_SPREAD_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class ConventionCalibration:
@@ -115,13 +117,13 @@ def advance(state: EvolutionState, dt: float) -> EvolutionState:
     return replace(state, t=state.t + dt, coeffs=g)
 
 
-def calibrate(space: ModeSpace, force_lambda: complex | None = None,
-              spread_tol: float = 1e-12) -> ConventionCalibration:
+def calibrate(space: ModeSpace,
+              force_lambda: complex | None = None) -> ConventionCalibration:
     """Solve for the global rescaling closing the first-order equation.
 
     Per mode the requirement is 2 (lambda^2 a_k) omega_k = 1 with a_k the raw
     pairing coefficient; a_k * omega_k must be mode-independent, so a spread
-    beyond spread_tol indicates a kernel bug and raises.  The principal root
+    beyond _SPREAD_TOL indicates a kernel bug and raises.  The principal root
     of lambda^2 is taken.  With force_lambda the achieved constant is
     recorded instead of enforced.
     """
@@ -130,7 +132,7 @@ def calibrate(space: ModeSpace, force_lambda: complex | None = None,
     lam2 = 1.0 / (2.0 * a_raw * w)
     center = lam2.mean()
     spread = float(np.max(np.abs(lam2 - center))) / abs(center)
-    if spread > spread_tol:
+    if spread > _SPREAD_TOL:
         raise RuntimeError(
             f"lambda^2 is mode-dependent (relative spread {spread:.3e}); "
             "a_k * omega_k should be constant"
@@ -147,7 +149,7 @@ def calibrate(space: ModeSpace, force_lambda: complex | None = None,
     calib = ConventionCalibration(lambda_=lam, c2=c2)
     if force_lambda is None:
         resid = float(np.max(np.abs(c2_modes - 1.0)))
-        if resid > spread_tol:
+        if resid > _SPREAD_TOL:
             raise RuntimeError(
                 f"calibration failed to close the quadratic law (residual {resid:.3e})"
             )

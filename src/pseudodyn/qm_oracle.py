@@ -40,6 +40,7 @@ __all__ = [
 _EDGE_TOL = 1e-8
 _EDGE_CHECK_STRIDE = 200
 _EIGEN_TOL = 1e-10
+_KERNEL_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -274,21 +275,21 @@ def kernel_matrix_genfunc(p0_values, p_values, omega: float, hbar: float,
 
 
 def compare_kernels(lhs: np.ndarray, rhs: np.ndarray, tol_spread: float,
-                    floor: float = 1e-8, params: dict | None = None) -> ResidualReport:
+                    params: dict | None = None) -> ResidualReport:
     """Judge entrywise constancy of lhs/rhs; the constant itself is reported.
 
-    Entries with |lhs| below the floor are excluded (their ratio is noise).
+    Entries with |lhs| below _KERNEL_FLOOR are excluded (their ratio is noise).
     The verdict is inconclusive when nothing survives the floor.
     """
     lhs = np.asarray(lhs)
     rhs = np.asarray(rhs)
     if lhs.shape != rhs.shape:
         raise ValueError("kernel matrices must have matching shapes")
-    mask = (np.abs(lhs) >= floor) & (np.abs(rhs) > 0)
+    mask = (np.abs(lhs) >= _KERNEL_FLOOR) & (np.abs(rhs) > 0)
     report_params = dict(params or {})
     report_params.update({"entries_total": int(lhs.size),
                           "entries_used": int(mask.sum()),
-                          "floor": floor})
+                          "floor": _KERNEL_FLOOR})
     if not mask.any():
         return ResidualReport(identity="boundary_kernel_match",
                               params=report_params,

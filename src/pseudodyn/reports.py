@@ -62,8 +62,8 @@ class ResidualReport:
             "note": self.note,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def summary_line(self) -> str:
         parts = [f"{self.identity}: {self.verdict.upper()}"]

@@ -8,7 +8,11 @@ import numpy as np
 import pytest
 
 import pseudodyn
+from pseudodyn import cli
 from pseudodyn.cli import ConfigError, RunConfig, main
+
+COMMANDS = ["calibrate", "verify-first-order", "verify-schrodinger", "semigroup",
+            "oracle-qm", "sweep"]
 
 
 def read_csv_body(path):
@@ -71,6 +75,14 @@ BAD_INPUTS = [
     ("oracle-qm", ["--mass", "20"], None),
     # [-12, 12] is too small a box for the omega 0.3 vacuum
     ("oracle-qm", [], {"qm_omega": 0.3}),
+    # the seed is refused whatever layer it would seed
+    ("verify-first-order", ["--v-spec", "zero", "--seed", "-1"], None),
+    ("semigroup", ["--v-spec", "single:1", "--seed", "-1"], None),
+    ("sweep", ["--v-spec", "zero", "--seed", "-1"], None),
+    # times whose exponent overflows
+    ("verify-first-order", ["--time", "1e308"], None),
+    ("semigroup", ["--time", "inf"], None),
+    ("sweep", [], {"sweep_times": [1e308]}),
 ]
 
 
@@ -88,6 +100,53 @@ def test_invalid_config_rejected_without_report(tmp_path, capsys):
         assert err.startswith("config error:"), (argv, err)
         assert len(err.splitlines()) == 1, (argv, err)
         assert not out.exists(), argv
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_out_that_is_a_file_refused(tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    assert main([command, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: out:"), err
+    assert len(err.splitlines()) == 1, err
+    assert out.read_text() == "kept\n"
+
+
+def test_boundary_leak_gives_inconclusive_verdict(tmp_path, capsys):
+    # the vacuum fits this box, but the gap_1 and driven evolutions reach its edge
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"qm_q_min": -8, "qm_q_max": 8, "qm_points": 256}))
+    out = tmp_path / "r"
+    assert main(["oracle-qm", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    summary = json.loads((out / "oracle_qm.json").read_text())
+    verdicts = {name: summary[name]["verdict"] for name in ("coincident", "gap_1", "driven")}
+    verdicts.update({k: v["verdict"] for k, v in summary["bridge"].items()})
+    assert verdicts == {"coincident": "pass", "gap_1": "inconclusive",
+                        "driven": "inconclusive", "mode_0": "pass", "mode_1": "pass"}
+    for name in ("gap_1", "driven"):
+        assert summary[name]["note"].startswith("boundary leak"), summary[name]
+    assert sorted(p.name for p in out.iterdir()) == ["kernel_coincident.csv",
+                                                     "oracle_qm.json"]
+
+
+def test_bridge_leak_gives_inconclusive_verdict(tmp_path, monkeypatch):
+    def leak(*args):
+        raise RuntimeError("boundary leak at final time: edge amplitude 1e-07 of peak")
+
+    monkeypatch.setattr(cli, "kernel_matrix_solver", leak)
+    monkeypatch.setattr(cli, "cross_coefficient_solver", leak)
+    out = tmp_path / "r"
+    assert main(["oracle-qm", "--out", str(out)]) == 1
+    summary = json.loads((out / "oracle_qm.json").read_text())
+    records = [summary[name] for name in ("coincident", "gap_1", "driven")]
+    records += summary["bridge"].values()
+    assert len(records) == 5
+    for record in records:
+        assert record["verdict"] == "inconclusive", record
+        assert record["note"].startswith("boundary leak"), record
+    assert [p.name for p in out.iterdir()] == ["oracle_qm.json"]
 
 
 def test_config_file_and_flag_override(tmp_path):
