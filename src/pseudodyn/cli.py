@@ -19,7 +19,7 @@ import numpy as np
 
 from .modespace import ModeSpace, ModeVector, build_mode_space
 from .pseudodynamics import advance, calibrate, evolution_functional
-from .qm_oracle import (BoundaryFactors, QMGrid, checked_drive,
+from .qm_oracle import (BoundaryFactors, QMGrid, check_band, checked_drive,
                         compare_kernels, cross_coefficient_solver,
                         kernel_matrix_genfunc, kernel_matrix_solver,
                         qm_drive_from_csv)
@@ -65,6 +65,8 @@ class RunConfig:
             record = json.loads(Path(path).read_text())
         except json.JSONDecodeError as err:
             raise ConfigError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
+        except OSError as err:
+            raise ConfigError(f"{path}: {err.strerror or err}") from err
         known = {f.name for f in fields(cls)}
         unknown = set(record) - known
         if unknown:
@@ -74,8 +76,10 @@ class RunConfig:
         return cfg
 
 
-# lattice modes whose oscillators the oracle-qm mode bridge checks
+# lattice modes whose oscillators the oracle-qm mode bridge checks, and the
+# endpoint momentum p = p0 of its cross coefficients
 _BRIDGE_MODES = (0, 1)
+_BRIDGE_P = 1.0
 
 
 def _require(ok: bool, message: str):
@@ -121,10 +125,12 @@ def _out_dir(cfg: RunConfig) -> Path:
     return Path(cfg.out)
 
 
-def _vacuum_grid(cfg: RunConfig, omega: float):
-    """An oracle grid at omega with its vacuum boundary factors."""
+def _vacuum_grid(cfg: RunConfig, omega: float, *momenta):
+    """An oracle grid at omega with its vacuum boundary factors, refused
+    unless it resolves the endpoint momenta it will transform."""
     grid = QMGrid(cfg.qm_q_min, cfg.qm_q_max, cfg.qm_points, cfg.qm_dt, omega,
                   cfg.hbar)
+    check_band(grid, *momenta)
     return grid, BoundaryFactors.vacuum(grid)
 
 
@@ -222,16 +228,16 @@ def _kernel_csv_rows(p0s, ps, lhs, rhs):
 
 def _cmd_oracle_qm(cfg: RunConfig) -> int:
     space, calib, _, _ = _inputs(cfg)
+    p0s = np.linspace(-3.0, 3.0, 32)
+    ps = np.linspace(-3.0, 3.0, 32)
     grid, boundary = _checked("qm_q_min, qm_q_max, qm_points, qm_dt, qm_omega, hbar",
-                              lambda: _vacuum_grid(cfg, cfg.qm_omega))
+                              lambda: _vacuum_grid(cfg, cfg.qm_omega, p0s, ps))
     bridges = {k: _checked(f"mode bridge grid at k={k} (from modes, box_length, mass)",
-                           lambda: _vacuum_grid(cfg, space.frequency(k)))
+                           lambda: _vacuum_grid(cfg, space.frequency(k), _BRIDGE_P))
                for k in _BRIDGE_MODES}
     drive_window, drive = _checked("drive_file", lambda: _oracle_drive(cfg))
     out_dir = _out_dir(cfg)
 
-    p0s = np.linspace(-3.0, 3.0, 32)
-    ps = np.linspace(-3.0, 3.0, 32)
     cases = [
         ("coincident", 0.0, 0.0, None, cfg.tol_kernel_coincident),
         ("gap_1", 0.0, 1.0, None, cfg.tol_kernel_gap),
@@ -265,8 +271,8 @@ def _cmd_oracle_qm(cfg: RunConfig) -> int:
     bridge = {}
     for k, (g, b) in bridges.items():
         try:
-            c_a = cross_coefficient_solver(g, b, 1.0, 1.0, 0.0, 0.5)
-            c_b = cross_coefficient_solver(g, b, 1.0, 1.0, 0.0, 1.0)
+            c_a = cross_coefficient_solver(g, b, _BRIDGE_P, _BRIDGE_P, 0.0, 0.5)
+            c_b = cross_coefficient_solver(g, b, _BRIDGE_P, _BRIDGE_P, 0.0, 1.0)
         except RuntimeError as leak:
             bridge[f"mode_{k}"] = {"omega": g.omega, "verdict": "inconclusive",
                                    "note": str(leak)}

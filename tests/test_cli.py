@@ -83,6 +83,11 @@ BAD_INPUTS = [
     ("verify-first-order", ["--time", "1e308"], None),
     ("semigroup", ["--time", "inf"], None),
     ("sweep", [], {"sweep_times": [1e308]}),
+    # the 32 kernel momenta up to |p| = 3 exceed this grid's band |p| <= 2.09
+    ("oracle-qm", [], {"qm_omega": 0.3, "qm_q_min": -30, "qm_q_max": 30,
+                       "qm_points": 80, "mass": 0.3, "box_length": 100}),
+    ("calibrate", ["--config", str(Path(__file__).with_name("no_such_config.json"))],
+     None),
 ]
 
 
@@ -243,6 +248,16 @@ def test_drive_file_finer_than_qm_dt_refused(tmp_path, capsys):
                         + "".join(f"{t:.17g},{np.sin(t):.17g}\n" for t in tt))
         _assert_refused(["oracle-qm", "--drive-file", str(path)], tmp_path / f"r{i}",
                         capsys, reason)
+
+
+def test_oracle_qm_at_hbar_other_than_one_passes(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert main(["oracle-qm", "--hbar", "0.5", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads((out / "oracle_qm.json").read_text())
+    verdicts = [summary[name]["verdict"] for name in ("coincident", "gap_1", "driven")]
+    verdicts += [record["verdict"] for record in summary["bridge"].values()]
+    assert verdicts == ["pass"] * 5
 
 
 def test_schrodinger_at_hbar_other_than_one_passes(tmp_path):

@@ -7,11 +7,16 @@ import pseudodyn
 
 
 def test_import_loads_no_scipy():
-    # the library depends on numpy alone; scipy is a test-side reference
+    # the library depends on numpy alone; scipy is a test-side reference.
+    # Importing it starts no thread and loads no thread pool: the oracle's
+    # row split imports concurrent.futures only when it runs
     src = str(Path(pseudodyn.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import sys, pseudodyn; print(sorted(m for m in sys.modules "
+    code = ("import sys, threading, pseudodyn\n"
+            "assert threading.active_count() == 1, threading.enumerate()\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+            "print(sorted(m for m in sys.modules "
             "if m == 'scipy' or m.startswith('scipy.')))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)

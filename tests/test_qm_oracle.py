@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from pseudodyn import qm_oracle
 from pseudodyn import (BoundaryFactors, QMGrid, compare_kernels,
                        cross_coefficient_genfunc, cross_coefficient_solver,
                        ground_state, kernel_matrix_genfunc,
@@ -21,6 +24,16 @@ def vacuum(grid):
 @pytest.fixture(scope="module")
 def boundary(grid, vacuum):
     return BoundaryFactors(left=vacuum, right=vacuum.copy())
+
+
+@pytest.fixture(scope="module")
+def grids(grid, boundary):
+    """(grid, vacuum boundary) at hbar 1 and, on the same box, at hbar 0.5:
+    a narrower vacuum, sources coupled as (i/h) j q and endpoint transforms
+    e^{+-i p q / h}."""
+    half = QMGrid(q_min=-12.0, q_max=12.0, n_points=512, dt=1e-3, omega=1.0,
+                  hbar=0.5)
+    return [(grid, boundary), (half, BoundaryFactors.vacuum(half))]
 
 
 def test_grid_validation():
@@ -79,6 +92,17 @@ def test_adiabatic_constant_drive_displacement():
     assert q_mean == pytest.approx(f / 1.0**2, abs=1e-2)
 
 
+def test_faint_row_leak_detected_beside_bright_row(grid, vacuum):
+    # each row is judged against its own peak: a faint row swinging out to
+    # q ~ 8 reaches the edge of [-12, 12] although the whole batch's edge
+    # stays far below the bright vacuum row's peak
+    bright = vacuum.astype(complex)
+    faint = 1e-6 * vacuum * np.exp(-8j * grid.q)
+    propagate_driven(bright, grid, 0.0, 2.0)
+    with pytest.raises(RuntimeError, match="boundary leak"):
+        propagate_driven(np.stack([bright, faint]), grid, 0.0, 2.0)
+
+
 def test_boundary_leak_detected():
     g = QMGrid(-4.0, 4.0, 256, 1e-3, 1.0)
     # the vacuum profile kicked hard, swings to q ~ 3 (the box is too small
@@ -123,7 +147,7 @@ def _unfused_strang(psi0, grid, t_initial, t_final, drive=None):
     j_mid = (np.zeros(n_steps) if drive is None else
              np.interp(t_mid, np.linspace(t_initial, t_final, drive.size), drive))
     for step in range(n_steps):
-        v_mid = grid.potential - grid.hbar * j_mid[step] * grid.q
+        v_mid = grid.potential - j_mid[step] * grid.q
         half = np.exp(-0.5j * dt * v_mid / grid.hbar)
         psi = half * np.fft.ifft(kin_factor * np.fft.fft(half * psi, axis=-1), axis=-1)
     return psi
@@ -147,6 +171,37 @@ def test_fused_loop_matches_unfused_strang(grid, vacuum):
         want = _unfused_strang(psi0, grid, t0, t1, drv)
         assert got.shape == np.shape(psi0)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.fixture(scope="module")
+def rows_alone(grid, vacuum):
+    """32 kicked vacua; free and driven windows, each longer than one edge-check
+    stride, with every row propagated alone as the reference."""
+    batch = vacuum[None, :] * np.exp(-1j * np.outer(np.linspace(-3.0, 3.0, 32), grid.q))
+    drive = 0.7 * np.sin(3.0 * np.linspace(0.0, 0.25, 251))
+    cases = [(t0, t1, drv, np.stack([propagate_driven(row, grid, t0, t1, drv)
+                                     for row in batch]))
+             for t0, t1, drv in ((0.0, 0.25, None), (0.1, 0.35, drive))]
+    return batch, cases
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+def test_row_split_bit_identical_to_rows_alone(grid, rows_alone, monkeypatch, cpus):
+    # 32 rows cut into one chunk per CPU (3 gives 11 + 11 + 10 rows; 8 can
+    # be more threads than there are cores) equal each row propagated
+    # alone, byte for byte; a short switch interval interleaves the threads.
+    # The chunk floor drops to 4 rows so that the CPU count alone sets the cut
+    batch, cases = rows_alone
+    monkeypatch.setattr(qm_oracle, "_available_cpus", lambda: cpus)
+    monkeypatch.setattr(qm_oracle, "_MIN_CHUNK_VALUES", 4 * grid.n_points)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t0, t1, drv, alone in cases:
+            got = propagate_driven(batch, grid, t0, t1, drv)
+            assert got.tobytes() == alone.tobytes(), (cpus, drv is None)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_propagate_leaves_input_untouched(grid, vacuum):
@@ -272,27 +327,30 @@ def test_band_limit_enforced(grid, boundary):
                              0.0, 0.0)
 
 
-def test_kernel_identity_drive_free_gap(grid, boundary):
+def test_kernel_identity_drive_free_gap(grids):
     p0s = np.linspace(-2.5, 2.5, 12)
     ps = np.linspace(-2.5, 2.5, 12)
-    lhs = kernel_matrix_solver(grid, boundary, p0s, ps, 0.0, 1.0)
-    rhs = kernel_matrix_genfunc(p0s, ps, 1.0, 1.0, 0.0, 1.0)
-    report = compare_kernels(lhs, rhs, 1e-2)
-    assert report.passed
-    assert report.numeric_spread < 1e-4
-    # the up-to-constant factor is the vacuum phase over the window
-    assert report.params["mean_ratio"] == pytest.approx(np.exp(-0.5j), rel=1e-4)
+    for g, b in grids:
+        lhs = kernel_matrix_solver(g, b, p0s, ps, 0.0, 1.0)
+        rhs = kernel_matrix_genfunc(p0s, ps, 1.0, g.hbar, 0.0, 1.0)
+        report = compare_kernels(lhs, rhs, 1e-2)
+        assert report.passed, g.hbar
+        assert report.numeric_spread < 1e-4, g.hbar
+        # the up-to-constant factor is the vacuum phase e^{-i E T / h} over
+        # the window, E = h omega / 2 at every hbar
+        assert report.params["mean_ratio"] == pytest.approx(np.exp(-0.5j), rel=1e-4)
 
 
-def test_kernel_identity_with_drive(grid, boundary):
+def test_kernel_identity_with_drive(grids):
     p0s = np.linspace(-2.0, 2.0, 8)
     ps = np.linspace(-2.0, 2.0, 8)
     tt = np.linspace(0.0, 2.0, 2001)
     drive = np.sin(tt)
-    lhs = kernel_matrix_solver(grid, boundary, p0s, ps, 0.0, 2.0, drive)
-    rhs = kernel_matrix_genfunc(p0s, ps, 1.0, 1.0, 0.0, 2.0, drive)
-    report = compare_kernels(lhs, rhs, 1e-2)
-    assert report.passed
+    for g, b in grids:
+        lhs = kernel_matrix_solver(g, b, p0s, ps, 0.0, 2.0, drive)
+        rhs = kernel_matrix_genfunc(p0s, ps, 1.0, g.hbar, 0.0, 2.0, drive)
+        report = compare_kernels(lhs, rhs, 1e-2)
+        assert report.passed, g.hbar
 
 
 def test_compare_kernels_mismatched_omega_fails(grid, boundary):
@@ -318,10 +376,11 @@ def test_compare_kernels_shape_mismatch():
         compare_kernels(np.ones((2, 2)), np.ones((2, 3)), 1e-3)
 
 
-def test_cross_coefficient_matches_closed_form(grid, boundary):
-    got = cross_coefficient_solver(grid, boundary, 1.0, 1.0, 0.0, 0.8)
-    want = cross_coefficient_genfunc(1.0, 1.0, 1.0, 1.0, 0.0, 0.8)
-    assert got == pytest.approx(want, abs=1e-7)
+def test_cross_coefficient_matches_closed_form(grids):
+    for g, b in grids:
+        got = cross_coefficient_solver(g, b, 1.0, 1.0, 0.0, 0.8)
+        want = cross_coefficient_genfunc(1.0, 1.0, 1.0, g.hbar, 0.0, 0.8)
+        assert got == pytest.approx(want, abs=1e-7), g.hbar
 
 
 def test_cross_phase_ratio_between_horizons(grid, boundary):
