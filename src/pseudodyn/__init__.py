@@ -13,12 +13,11 @@ from .propagator import (PoleResolutionError, feynman_kernel_closed,
                          feynman_kernel_quadrature, richardson_kernel,
                          truncation_tail)
 from .pseudodynamics import (ConventionCalibration, EvolutionState, advance,
-                             calibrate, evolution_functional,
-                             raw_pair_coefficients)
+                             calibrate, evolution_functional)
 from .qm_oracle import (BoundaryFactors, QMGrid, compare_kernels,
-                        cross_coefficient_genfunc, cross_coefficient_solver,
-                        ground_state, kernel_matrix_genfunc,
-                        kernel_matrix_solver, propagate_driven)
+                        cross_coefficient_solver, ground_state,
+                        kernel_matrix_genfunc, kernel_matrix_solver,
+                        propagate_driven)
 from .reports import ResidualReport
 from .sources import ZExponent, z_exponent
 from .verifier import (first_order_residual, gradient_check,

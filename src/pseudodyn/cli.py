@@ -52,8 +52,8 @@ class RunConfig:
     sweep_modes: tuple = (2, 8, 16, 64)
     sweep_masses: tuple = (0.5, 1.0, 2.0)
     sweep_times: tuple = (0.1, 1.0, 10.0)
-    qm_q_min: float = -12.0
-    qm_q_max: float = 12.0
+    qm_q_min: float | None = None   # unset: -12 max(1, sqrt(hbar))
+    qm_q_max: float | None = None   # unset: +12 max(1, sqrt(hbar))
     qm_points: int = 1024
     qm_dt: float = 1e-3
     qm_omega: float = 1.0
@@ -67,6 +67,8 @@ class RunConfig:
             raise ConfigError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
         except OSError as err:
             raise ConfigError(f"{path}: {err.strerror or err}") from err
+        if not isinstance(record, dict):
+            raise ConfigError(f"{path}: expected a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(record) - known
         if unknown:
@@ -92,14 +94,16 @@ def _checked(keys: str, build):
 
     Every command builds its inputs under this before its first write.  A
     RuntimeError here is the vacuum's eigen-residual gate on an oracle grid
-    too small for its frequency; floating-point overflow raises, so an input
-    too large to build (a time of 1e308) is refused without warnings.
+    too small for its frequency, or calibrate's spread gate.  Floating-point
+    overflow, invalid values and division by zero raise, so an input too
+    large to build (a time of 1e308, a mass of 1e300, an infinite hbar) is
+    refused without warnings.
     """
     try:
-        with np.errstate(over="raise", invalid="raise"):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
             return build()
     except (ValueError, TypeError, IndexError, OSError, RuntimeError,
-            FloatingPointError) as err:
+            ArithmeticError) as err:
         raise ConfigError(f"{keys}: {err}") from err
 
 
@@ -112,11 +116,16 @@ def _inputs(cfg: RunConfig):
     _checked("time", lambda: _require(cfg.time is None or cfg.time >= 0,
                                       f"must be nonnegative, got {cfg.time}"))
     rng = _checked("seed", lambda: np.random.default_rng(cfg.seed))
-    space = _checked("modes, box_length, mass, hbar", lambda: build_mode_space(
-        cfg.modes, cfg.box_length, cfg.mass, cfg.hbar))
-    calib = calibrate(space)
+    space, calib = _checked("modes, box_length, mass, hbar",
+                            lambda: _lattice(cfg, cfg.modes, cfg.mass))
     v_hat = _checked("v_spec, seed", lambda: _initial_layer(cfg, space))
     return space, calib, v_hat, rng
+
+
+def _lattice(cfg: RunConfig, modes, mass):
+    """A lattice of the config's box and hbar, with its calibration."""
+    space = build_mode_space(modes, cfg.box_length, mass, cfg.hbar)
+    return space, calibrate(space)
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -127,9 +136,12 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 def _vacuum_grid(cfg: RunConfig, omega: float, *momenta):
     """An oracle grid at omega with its vacuum boundary factors, refused
-    unless it resolves the endpoint momenta it will transform."""
-    grid = QMGrid(cfg.qm_q_min, cfg.qm_q_max, cfg.qm_points, cfg.qm_dt, omega,
-                  cfg.hbar)
+    unless it resolves the endpoint momenta it will transform.  An unset box
+    edge is +/-12 max(1, sqrt(h)): the vacuum's width grows as sqrt(h)."""
+    half = 12.0 * max(1.0, np.sqrt(cfg.hbar))
+    grid = QMGrid(-half if cfg.qm_q_min is None else cfg.qm_q_min,
+                  half if cfg.qm_q_max is None else cfg.qm_q_max,
+                  cfg.qm_points, cfg.qm_dt, omega, cfg.hbar)
     check_band(grid, *momenta)
     return grid, BoundaryFactors.vacuum(grid)
 
@@ -297,12 +309,11 @@ def _cmd_oracle_qm(cfg: RunConfig) -> int:
 
 def _cmd_sweep(cfg: RunConfig) -> int:
     _inputs(cfg)   # refused as for every command; the sweep runs its own lattices
-    spaces = _checked("sweep_modes, sweep_masses", lambda: [
-        build_mode_space(int(n), cfg.box_length, float(m), cfg.hbar)
+    lattices = _checked("sweep_modes, sweep_masses", lambda: [
+        _lattice(cfg, int(n), float(m))
         for n in cfg.sweep_modes for m in cfg.sweep_masses])
     states = []
-    for space in spaces:
-        calib = calibrate(space)
+    for space, calib in lattices:
         v_hat = _checked("v_spec, seed, sweep_modes", lambda: _initial_layer(cfg, space))
         states += _checked("sweep_times", lambda: [
             evolution_functional(space, v_hat, float(t), calibration=calib)

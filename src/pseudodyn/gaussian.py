@@ -191,16 +191,10 @@ def evaluate(g: GaussianCoefficients, u) -> complex:
     return complex(np.exp(s))
 
 
-def gradient_at(g: GaussianCoefficients, u):
-    """Mode derivatives (2 (A u)_k + b_k) exp(S(u)).
-
-    Returns a ModeVector when given one, otherwise a plain array.
-    """
+def gradient_at(g: GaussianCoefficients, u) -> np.ndarray:
+    """Mode derivatives (2 (A u)_k + b_k) exp(S(u)), as a plain array."""
     uv = _values(u)
-    grad = (2.0 * (g.a @ uv) + g.b) * evaluate(g, uv)
-    if isinstance(u, ModeVector):
-        return ModeVector(u.space, grad)
-    return grad
+    return (2.0 * (g.a @ uv) + g.b) * evaluate(g, uv)
 
 
 def apply_first_order(g: GaussianCoefficients, weights,

@@ -9,9 +9,7 @@ each mode being an independent harmonic degree of freedom with frequency
 omega_k = sqrt(p_k^2 + m^2).  Negation k -> -k maps the index set onto
 itself except for the Nyquist-like mode k = N/2, which (as in the usual
 discrete-transform convention) is identified with its own negative; k = 0
-is likewise self-paired.  Vectors carrying a real spatial profile satisfy
-amplitude(-k) = conj(amplitude(k)), which forces the two self-paired
-amplitudes to be real.
+is likewise self-paired.
 """
 
 from __future__ import annotations
@@ -78,13 +76,6 @@ class ModeSpace:
         neg.setflags(write=False)
         return neg
 
-    @cached_property
-    def self_paired(self) -> np.ndarray:
-        """Boolean mask of the modes identified with their own negative."""
-        mask = self.negation == np.arange(self.num_modes)
-        mask.setflags(write=False)
-        return mask
-
     def index_of(self, k: int) -> int:
         """Array position of mode index k."""
         half = self.num_modes // 2
@@ -112,16 +103,10 @@ def build_mode_space(num_modes: int, box_length: float, mass: float,
 
 @dataclass(frozen=True)
 class ModeVector:
-    """One complex amplitude per lattice mode.
-
-    With ``real_field=True`` the vector represents the transform of a real
-    spatial profile; the pairing amplitude(-k) = conj(amplitude(k)) is then
-    required to hold exactly and is checked at construction.
-    """
+    """One complex amplitude per lattice mode."""
 
     space: ModeSpace
     values: np.ndarray
-    real_field: bool = False
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
@@ -132,20 +117,10 @@ class ModeVector:
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        if self.real_field:
-            neg = self.space.negation
-            if not np.array_equal(vals[neg], np.conj(vals)):
-                raise ValueError(
-                    "real_field vector must satisfy amplitude(-k) == conj(amplitude(k)) "
-                    "exactly (self-paired modes real)"
-                )
-
-    def amplitude(self, k: int) -> complex:
-        return complex(self.values[self.space.index_of(k)])
 
     @classmethod
     def zeros(cls, space: ModeSpace) -> "ModeVector":
-        return cls(space, np.zeros(space.num_modes, dtype=complex), real_field=True)
+        return cls(space, np.zeros(space.num_modes, dtype=complex))
 
     @classmethod
     def basis(cls, space: ModeSpace, k: int, amplitude: complex = 1.0) -> "ModeVector":
@@ -155,11 +130,8 @@ class ModeVector:
 
     @classmethod
     def random(cls, space: ModeSpace, rng: np.random.Generator,
-               scale: float = 1.0, real_field: bool = False) -> "ModeVector":
+               scale: float = 1.0) -> "ModeVector":
         """Amplitudes with real and imaginary parts uniform in [-scale, scale]."""
         n = space.num_modes
         raw = rng.uniform(-scale, scale, n) + 1j * rng.uniform(-scale, scale, n)
-        if real_field:
-            # symmetrizing with the conjugate partner keeps the pairing exact
-            raw = 0.5 * (raw + np.conj(raw[space.negation]))
-        return cls(space, raw, real_field=real_field)
+        return cls(space, raw)

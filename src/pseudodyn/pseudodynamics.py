@@ -36,7 +36,7 @@ from .modespace import ModeSpace, ModeVector
 from .sources import z_exponent
 
 __all__ = ["ConventionCalibration", "EvolutionState", "evolution_functional",
-           "advance", "calibrate", "raw_pair_coefficients"]
+           "advance", "calibrate"]
 
 _SPREAD_TOL = 1e-12
 
@@ -87,11 +87,6 @@ class EvolutionState:
                 self.coeffs, self.space.negation))
 
 
-def raw_pair_coefficients(space: ModeSpace) -> np.ndarray:
-    """Uncalibrated u-u pairing coefficients a_k (proportional to 1/omega_k)."""
-    return z_exponent(space, 0.0).uu
-
-
 def evolution_functional(space: ModeSpace, v_hat: ModeVector, t: float,
                          calibration: ConventionCalibration | None = None) -> EvolutionState:
     """Build Phi(T, .) from the initial layer data v at T0 = 0.
@@ -122,36 +117,30 @@ def calibrate(space: ModeSpace,
     """Solve for the global rescaling closing the first-order equation.
 
     Per mode the requirement is 2 (lambda^2 a_k) omega_k = 1 with a_k the raw
-    pairing coefficient; a_k * omega_k must be mode-independent, so a spread
-    beyond _SPREAD_TOL indicates a kernel bug and raises.  The principal root
-    of lambda^2 is taken.  With force_lambda the achieved constant is
-    recorded instead of enforced.
+    (uncalibrated, T-independent) pairing coefficient z_exponent(space, 0).uu;
+    a_k * omega_k must be mode-independent, so a spread beyond _SPREAD_TOL
+    (or a NaN one, from a lattice whose lambda^2 overflows) raises.  The
+    principal root of lambda^2 is taken.  With force_lambda the achieved
+    constant is recorded instead of enforced.
     """
-    a_raw = raw_pair_coefficients(space)
+    a_raw = z_exponent(space, 0.0).uu
     w = space.frequencies
     lam2 = 1.0 / (2.0 * a_raw * w)
     center = lam2.mean()
     spread = float(np.max(np.abs(lam2 - center))) / abs(center)
-    if spread > _SPREAD_TOL:
+    if not spread <= _SPREAD_TOL:
         raise RuntimeError(
-            f"lambda^2 is mode-dependent (relative spread {spread:.3e}); "
-            "a_k * omega_k should be constant"
+            f"lambda^2 is mode-dependent or not finite (relative spread "
+            f"{spread:.3e}); a_k * omega_k should be constant"
         )
-    if force_lambda is not None:
-        lam = complex(force_lambda)
-        if lam == 0:
-            raise ValueError("forced lambda must be nonzero")
-    else:
-        lam = complex(np.sqrt(center))
+    lam = complex(np.sqrt(center) if force_lambda is None else force_lambda)
     # achieved constant: the calibrated quadratic coefficient 2 omega lambda^2 a
     c2_modes = 2.0 * w * (lam * lam) * a_raw
-    c2 = complex(c2_modes.mean())
-    calib = ConventionCalibration(lambda_=lam, c2=c2)
-    if force_lambda is None:
-        resid = float(np.max(np.abs(c2_modes - 1.0)))
-        if resid > _SPREAD_TOL:
-            raise RuntimeError(
-                f"calibration failed to close the quadratic law (residual {resid:.3e})"
-            )
-        calib = ConventionCalibration(lambda_=lam, c2=1.0)
-    return calib
+    if force_lambda is not None:
+        return ConventionCalibration(lambda_=lam, c2=complex(c2_modes.mean()))
+    resid = float(np.max(np.abs(c2_modes - 1.0)))
+    if not resid <= _SPREAD_TOL:
+        raise RuntimeError(
+            f"calibration failed to close the quadratic law (residual {resid:.3e})"
+        )
+    return ConventionCalibration(lambda_=lam, c2=1.0)

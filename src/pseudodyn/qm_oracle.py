@@ -34,8 +34,7 @@ from .sources import exponent_coefficients
 __all__ = [
     "QMGrid", "BoundaryFactors", "ground_state", "propagate_driven",
     "kernel_matrix_solver", "kernel_matrix_genfunc",
-    "compare_kernels", "cross_coefficient_solver", "cross_coefficient_genfunc",
-    "qm_drive_from_csv",
+    "compare_kernels", "cross_coefficient_solver", "qm_drive_from_csv",
 ]
 
 _EDGE_TOL = 1e-8
@@ -288,8 +287,6 @@ def kernel_matrix_solver(grid: QMGrid, boundary: BoundaryFactors,
     """
     p0s = np.atleast_1d(np.asarray(p0_values, dtype=float))
     ps = np.atleast_1d(np.asarray(p_values, dtype=float))
-    if p0s.size == 0 or ps.size == 0:
-        return np.zeros((p0s.size, ps.size), dtype=complex)
     check_band(grid, p0s, ps)
     q = grid.q
     chi = boundary.left[None, :] * np.exp(-1j * np.outer(p0s, q) / grid.hbar)
@@ -313,9 +310,9 @@ def kernel_matrix_genfunc(p0_values, p_values, omega: float, hbar: float,
     if drive is not None:
         # the solver's drive rule without its step bound (no time stepping here)
         drive = checked_drive(drive, t_final - t_initial, 0.0)[:, None]
-    uu, uv, vv, lin_u, lin_v, const = exponent_coefficients(
+    uu, uv, lin_u, lin_v, const = exponent_coefficients(
         np.array([omega]), [0], hbar, t_initial, t_final, drive)
-    return np.exp(uu[0] * ps**2 + 2.0 * uv[0] * ps * p0s + vv[0] * p0s**2
+    return np.exp(uu[0] * ps**2 + 2.0 * uv[0] * ps * p0s + uu[0] * p0s**2
                   + lin_u[0] * ps + lin_v[0] * p0s + const)
 
 
@@ -365,13 +362,6 @@ def cross_coefficient_solver(grid: QMGrid, boundary: BoundaryFactors,
     m = kernel_matrix_solver(grid, boundary, [0.0, p0], [0.0, p],
                              t_initial, t_final, drive)
     return complex(np.log((m[1, 1] * m[0, 0]) / (m[1, 0] * m[0, 1])))
-
-
-def cross_coefficient_genfunc(p0: float, p: float, omega: float, hbar: float,
-                              t_initial: float, t_final: float) -> complex:
-    """Closed-form cross coefficient p p0 e^{-i omega (T-T0)} / (2 h omega)."""
-    return complex(p * p0 * np.exp(-1j * omega * (t_final - t_initial))
-                   / (2.0 * hbar * omega))
 
 
 def qm_drive_from_csv(path) -> tuple[np.ndarray, np.ndarray]:

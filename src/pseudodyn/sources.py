@@ -12,13 +12,15 @@ generating functional, the log of Z factorizes over modes into
 with D the closed-form Feynman kernel.  ZExponent stores the per-mode
 coefficients of that quadratic form in the canonical layout
 
-    S = sum_k [ uu_k u_k u_{-k} + uv_k (u_k v_{-k} + v_k u_{-k})
-                + vv_k v_k v_{-k} + lu_k u_k + lv_k v_k ] + const,
+    S = sum_k [ uu_k (u_k u_{-k} + v_k v_{-k}) + uv_k (u_k v_{-k} + v_k u_{-k})
+                + lu_k u_k + lv_k v_k ] + const,
 
 so each unordered pair is counted twice via the two orderings, matching the
-all-ordered-pairs convention of the Gaussian algebra.  The coefficients
-depend only on the window [T0, T] and the drive; the layers u and v enter
-only when the exponent is read (ZExponent.total, ZExponent.gaussian_in_u).
+all-ordered-pairs convention of the Gaussian algebra.  Both layers' self
+terms carry the same coincident kernel D(0), hence the one coefficient uu.
+The coefficients depend only on the window [T0, T] and the drive; the
+layers enter only when the exponent is read as a Gaussian in u with v
+contracted (ZExponent.gaussian_in_u).
 Delta-delta terms are exact; delta-drive and drive-drive terms use
 trapezoid quadrature on the drive samples, spread evenly over the window.
 exponent_coefficients is the one place these coefficients are computed:
@@ -53,13 +55,12 @@ class ZExponent:
     space: ModeSpace
     uu: np.ndarray
     uv: np.ndarray
-    vv: np.ndarray
     lin_u: np.ndarray
     lin_v: np.ndarray
     const: complex = 0.0
 
     def __post_init__(self):
-        for name in ("uu", "uv", "vv", "lin_u", "lin_v"):
+        for name in ("uu", "uv", "lin_u", "lin_v"):
             arr = np.asarray(getattr(self, name), dtype=complex).copy()
             if arr.shape != (self.space.num_modes,):
                 raise ValueError(f"{name} must have one entry per mode")
@@ -69,19 +70,6 @@ class ZExponent:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "const", complex(self.const))
 
-    def total(self, u_hat: ModeVector, v_hat: ModeVector) -> complex:
-        """The full exponent evaluated on layer data (u, v)."""
-        neg = self.space.negation
-        u = u_hat.values
-        v = v_hat.values
-        s = (self.uu * u * u[neg] + self.uv * (u * v[neg] + v * u[neg])
-             + self.vv * v * v[neg] + self.lin_u * u + self.lin_v * v).sum()
-        return complex(s + self.const)
-
-    def cross_ratio(self) -> np.ndarray:
-        """uv/uu per mode; modulus 1 whenever the drive is absent."""
-        return self.uv / self.uu
-
     def gaussian_in_u(self, v_hat: ModeVector) -> PairCoefficients:
         """Read the exponent as a Gaussian in u with the v layer contracted.
 
@@ -90,13 +78,13 @@ class ZExponent:
         neg = self.space.negation
         v = v_hat.values
         b = 2.0 * self.uv * v[neg] + self.lin_u
-        c = (self.vv * v * v[neg]).sum() + (self.lin_v * v).sum() + self.const
+        c = (self.uu * v * v[neg]).sum() + (self.lin_v * v).sum() + self.const
         return PairCoefficients(self.uu, b, c, neg)
 
 
 def exponent_coefficients(omegas, negation, hbar: float, t_initial: float,
                           t_final: float, drive=None):
-    """Per-mode coefficients (uu, uv, vv, lin_u, lin_v, const) of log Z.
+    """Per-mode coefficients (uu, uv, lin_u, lin_v, const) of log Z.
 
     The source is u delta(t - t_final) - v delta(t - t_initial) plus the
     optional drive, given as (n, num_modes) samples spread evenly over
@@ -115,13 +103,13 @@ def exponent_coefficients(omegas, negation, hbar: float, t_initial: float,
     uv = -pref * feynman_kernel_closed(omegas, t_final - t_initial)
     if drive is None:
         zero = np.zeros(len(omegas), dtype=complex)
-        return uu, uv, uu, zero, zero, 0.0j
+        return uu, uv, zero, zero, 0.0j
     times = np.linspace(t_initial, t_final, drive.shape[0])
     step = times[1] - times[0]
     i_final = kernel_trapezoid(drive, t_final, times, step, omegas)
     i_initial = kernel_trapezoid(drive, t_initial, times, step, omegas)
     dd = kernel_double_trapezoid(drive, drive[:, negation], times, step, omegas)
-    return (uu, uv, uu, 2.0 * pref * i_final[negation],
+    return (uu, uv, 2.0 * pref * i_final[negation],
             -2.0 * pref * i_initial[negation], pref * complex(dd.sum()))
 
 

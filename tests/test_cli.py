@@ -61,7 +61,8 @@ def test_semigroup_command(tmp_path):
     assert report["params"]["t"] == 3.0
 
 
-# (command, flags, config file contents or None); each must be refused
+# (command, flags, config or None); each must be refused.  A config given
+# as a str is the file's raw text, anything else is written as JSON
 BAD_INPUTS = [
     ("verify-first-order", ["--mass", "-2"], None),
     ("verify-first-order", ["--v-spec", "single:99"], None),
@@ -88,6 +89,21 @@ BAD_INPUTS = [
                        "qm_points": 80, "mass": 0.3, "box_length": 100}),
     ("calibrate", ["--config", str(Path(__file__).with_name("no_such_config.json"))],
      None),
+    # lattices that build but cannot be calibrated: lambda^2 overflows or
+    # divides by zero, omega^2 overflows a Python float, omega underflows to 0,
+    # momenta overflow
+    ("calibrate", [], {"hbar": 1e308}),
+    ("calibrate", ["--hbar", "inf"], None),
+    ("calibrate", [], {"mass": 1e300}),
+    ("calibrate", [], {"mass": 1e-200}),
+    ("calibrate", [], {"box_length": 1e-300}),
+    ("sweep", [], {"sweep_masses": [1e300]}),
+    ("sweep", [], {"sweep_masses": [1e-200]}),
+    # config files that are not a JSON object
+    ("calibrate", [], "5"),
+    ("calibrate", [], "null"),
+    ("calibrate", [], "[1, 2]"),
+    ("calibrate", [], '"modes"'),
 ]
 
 
@@ -97,7 +113,8 @@ def test_invalid_config_rejected_without_report(tmp_path, capsys):
         argv = [command] + flags
         if config is not None:
             cfg_path = tmp_path / f"cfg{i}.json"
-            cfg_path.write_text(json.dumps(config))
+            cfg_path.write_text(config if isinstance(config, str)
+                                else json.dumps(config))
             argv += ["--config", str(cfg_path)]
         out = tmp_path / f"r{i}"
         assert main(argv + ["--out", str(out)]) == 2, argv
@@ -180,6 +197,11 @@ def test_malformed_json_diagnostics(tmp_path):
     cfg_path.write_text("{ not json }")
     with pytest.raises(ConfigError, match=r":1:"):
         RunConfig.from_file(str(cfg_path))
+    # valid JSON that is not an object is named as such, not as unknown keys
+    for text in ("5", "null", "[1, 2]", '"modes"'):
+        cfg_path.write_text(text)
+        with pytest.raises(ConfigError, match="expected a JSON object$"):
+            RunConfig.from_file(str(cfg_path))
 
 
 def test_sweep_csv_deterministic(tmp_path):
@@ -251,13 +273,16 @@ def test_drive_file_finer_than_qm_dt_refused(tmp_path, capsys):
 
 
 def test_oracle_qm_at_hbar_other_than_one_passes(tmp_path, capsys):
-    out = tmp_path / "r"
-    assert main(["oracle-qm", "--hbar", "0.5", "--out", str(out)]) == 0
-    assert capsys.readouterr().err == ""
-    summary = json.loads((out / "oracle_qm.json").read_text())
-    verdicts = [summary[name]["verdict"] for name in ("coincident", "gap_1", "driven")]
-    verdicts += [record["verdict"] for record in summary["bridge"].values()]
-    assert verdicts == ["pass"] * 5
+    # at hbar 2 the default box widens with the vacuum, to +/-12 sqrt(2)
+    for hbar in ("0.5", "2"):
+        out = tmp_path / f"r{hbar}"
+        assert main(["oracle-qm", "--hbar", hbar, "--out", str(out)]) == 0, hbar
+        assert capsys.readouterr().err == ""
+        summary = json.loads((out / "oracle_qm.json").read_text())
+        verdicts = [summary[name]["verdict"]
+                    for name in ("coincident", "gap_1", "driven")]
+        verdicts += [record["verdict"] for record in summary["bridge"].values()]
+        assert verdicts == ["pass"] * 5, hbar
 
 
 def test_schrodinger_at_hbar_other_than_one_passes(tmp_path):

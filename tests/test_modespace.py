@@ -66,23 +66,10 @@ def test_doubling_box_halves_momenta_exactly():
     assert np.array_equal(ms2.momenta, ms1.momenta / 2.0)
 
 
-def test_self_paired_modes():
-    ms = build_mode_space(8, 1.0, 1.0)
-    ks = ms.mode_indices[ms.self_paired]
-    assert list(ks) == [0, 4]
-
-
 def test_arrays_read_only():
     ms = build_mode_space(8, 1.0, 1.0)
     with pytest.raises(ValueError):
         ms.frequencies[0] = 9.0
-
-
-def test_mode_vector_amplitude_lookup():
-    ms = build_mode_space(4, 2 * np.pi, 1.0)
-    vec = ModeVector.basis(ms, -1, 2.0 + 1.0j)
-    assert vec.amplitude(-1) == 2.0 + 1.0j
-    assert vec.amplitude(0) == 0.0
 
 
 def test_mode_vector_shape_checked():
@@ -90,27 +77,3 @@ def test_mode_vector_shape_checked():
     with pytest.raises(ValueError):
         ModeVector(ms, np.zeros(3, dtype=complex))
 
-
-def test_real_field_pairing_enforced_exactly():
-    ms = build_mode_space(8, 1.0, 1.0)
-    vals = np.zeros(8, dtype=complex)
-    vals[ms.index_of(1)] = 1.0 + 2.0j
-    vals[ms.index_of(-1)] = 1.0 - 2.0j
-    ModeVector(ms, vals, real_field=True)  # conjugate pair is fine
-
-    vals2 = vals.copy()
-    vals2[ms.index_of(-1)] = 1.0 - 2.0000001j
-    with pytest.raises(ValueError):
-        ModeVector(ms, vals2, real_field=True)
-
-    # self-paired (zero and Nyquist) amplitudes must be real
-    vals3 = np.zeros(8, dtype=complex)
-    vals3[ms.index_of(4)] = 1.0j
-    with pytest.raises(ValueError):
-        ModeVector(ms, vals3, real_field=True)
-
-
-def test_random_real_field_satisfies_pairing():
-    ms = build_mode_space(16, 1.0, 1.0)
-    vec = ModeVector.random(ms, np.random.default_rng(0), real_field=True)
-    assert np.array_equal(vec.values[ms.negation], np.conj(vec.values))

@@ -4,7 +4,7 @@ import pytest
 from pseudodyn import (ConventionCalibration, EvolutionState,
                        GaussianCoefficients, ModeVector, advance,
                        build_mode_space, calibrate, evolution_functional,
-                       raw_pair_coefficients, z_exponent)
+                       z_exponent)
 
 
 @pytest.fixture
@@ -18,7 +18,7 @@ def unit_random(space, seed):
 
 
 def test_raw_pairing_is_quarter_inverse_omega(ms):
-    a_raw = raw_pair_coefficients(ms)
+    a_raw = z_exponent(ms, 0.0).uu
     assert np.allclose(a_raw * ms.frequencies, -0.25, rtol=1e-14)
 
 
@@ -33,6 +33,14 @@ def test_calibration_lambda_scales_with_hbar():
     ms2 = build_mode_space(8, 2 * np.pi, 1.0, hbar=3.0)
     calib = calibrate(ms2)
     assert complex(calib.lambda_) ** 2 == pytest.approx(-6.0)
+
+
+def test_calibration_refuses_a_non_finite_lambda():
+    # at h = 1e308 lambda^2 overflows; the NaN spread must not pass the gate
+    ms_big = build_mode_space(16, 2 * np.pi, 1.0, hbar=1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match="not finite"):
+            calibrate(ms_big)
 
 
 def test_forced_identity_lambda_records_gap(ms):

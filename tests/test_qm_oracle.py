@@ -5,9 +5,9 @@ import pytest
 
 from pseudodyn import qm_oracle
 from pseudodyn import (BoundaryFactors, QMGrid, compare_kernels,
-                       cross_coefficient_genfunc, cross_coefficient_solver,
-                       ground_state, kernel_matrix_genfunc,
-                       kernel_matrix_solver, propagate_driven)
+                       cross_coefficient_solver, ground_state,
+                       kernel_matrix_genfunc, kernel_matrix_solver,
+                       propagate_driven)
 from pseudodyn.qm_oracle import _EIGEN_TOL, qm_drive_from_csv
 
 
@@ -379,7 +379,8 @@ def test_compare_kernels_shape_mismatch():
 def test_cross_coefficient_matches_closed_form(grids):
     for g, b in grids:
         got = cross_coefficient_solver(g, b, 1.0, 1.0, 0.0, 0.8)
-        want = cross_coefficient_genfunc(1.0, 1.0, 1.0, g.hbar, 0.0, 0.8)
+        # p p0 e^{-i omega (T - T0)} / (2 h omega) at p = p0 = omega = 1
+        want = np.exp(-0.8j) / (2.0 * g.hbar)
         assert got == pytest.approx(want, abs=1e-7), g.hbar
 
 
