@@ -40,11 +40,11 @@ class ModeSpace:
         n = self.num_modes
         if not isinstance(n, (int, np.integer)) or n < 2 or n % 2 != 0:
             raise ValueError(f"num_modes must be a positive even integer >= 2, got {n!r}")
-        if self.box_length <= 0:
+        if not self.box_length > 0:
             raise ValueError(f"box_length must be positive, got {self.box_length}")
-        if self.mass <= 0:
+        if not self.mass > 0:
             raise ValueError(f"mass must be strictly positive, got {self.mass}")
-        if self.hbar <= 0:
+        if not self.hbar > 0:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
 
     @cached_property

@@ -9,14 +9,21 @@ in the limit eps -> 0+, which contour evaluation gives as
     D(tau; omega) = -(i / (2 omega)) * e^{-i omega |tau|},
 
 independent of the transform sign sigma in {+1, -1}.  The quadrature path
-evaluates the regularized integral on a graded mesh (dense panels around
-the poles at E = +/-omega, a coarser backbone elsewhere) and exists only to
-check the closed form; the closed form never takes eps as an argument.
+evaluates the regularized integral by composite Gauss-Legendre quadrature
+on panels graded geometrically toward the poles at E = +/-omega, which lie
+eps/(2 omega) off the real axis, and uniform panels of length at most 1
+elsewhere.  Each panel then converges geometrically (the pole lies outside
+a Bernstein ellipse of fixed size; Trefethen, SIAM Review 50, 2008), so
+the node count grows as log(1/eps).  It exists only to check the closed
+form; the closed form never takes eps as an argument.
 sigma is therefore an argument of the quadrature oracle alone, the one
 place it enters an integrand.  The 1/(2pi) normalization is fixed.
 """
 
 from __future__ import annotations
+
+import math
+from functools import cache
 
 import numpy as np
 
@@ -42,7 +49,7 @@ def feynman_kernel_closed(omega, tau):
     The value depends on |tau| only, so the transform sign never enters.
     """
     w = np.asarray(omega, dtype=float)
-    if np.any(w <= 0):
+    if not np.all(w > 0):
         raise ValueError("omega must be strictly positive")
     out = -0.5j / w * np.exp(-1j * w * np.abs(tau))
     if np.isscalar(omega) and np.isscalar(tau):
@@ -86,66 +93,82 @@ def kernel_double_trapezoid(x, y, times, step, omegas) -> np.ndarray:
     return -0.5j / omegas * s
 
 
-def _graded_mesh(omega: float, eps: float, e_cut: float):
-    """Segment list [(lo, hi, spacing), ...] covering [-e_cut, e_cut].
-
-    Pole windows of half-width W around +/-omega get spacing eps/8 (the
-    integrand is analytic within eps/(2 omega) of the real axis, so spacing
-    below eps/4 is required for trapezoid convergence); the rest uses a
-    0.01 backbone adequate for the e^{iE tau} oscillation at |tau| <= ~5.
-    """
-    w_half = min(0.5, 0.9 * omega)
-    h_pole = eps / 8.0
-    h_back = 0.01
-    segs = [
-        (-e_cut, -omega - w_half, h_back),
-        (-omega - w_half, -omega + w_half, h_pole),
-        (-omega + w_half, omega - w_half, h_back),
-        (omega - w_half, omega + w_half, h_pole),
-        (omega + w_half, e_cut, h_back),
-    ]
-    return [(lo, hi, h) for lo, hi, h in segs if hi > lo]
+_PANEL_NODES = 20   # Gauss-Legendre nodes per panel
 
 
-def _mesh_points(segments) -> int:
-    return sum(int(np.ceil((hi - lo) / h)) + 1 for lo, hi, h in segments)
+@cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the _PANEL_NODES-point Gauss-Legendre rule on
+    [-1, 1].  numpy.polynomial is imported here, at the first quadrature
+    call, so that importing pseudodyn does not load it."""
+    from numpy.polynomial.legendre import leggauss
+    return leggauss(_PANEL_NODES)
 
 
 def feynman_kernel_quadrature(omega: float, tau: float, eps: float, e_cut: float,
                               n_points: int = 2_000_000,
                               sigma: int = 1) -> complex:
-    """Trapezoid estimate of the regularized kernel at finite eps and e_cut.
+    """Composite Gauss-Legendre estimate of the regularized kernel at finite
+    eps and e_cut.
 
     sigma in {+1, -1} is the sign of the energy transform e^{sigma i E tau}.
 
-    n_points is the caller's point budget.  If it is smaller than the graded
-    mesh needs (equivalently, if the implied spacing near E = +/-omega would
-    exceed eps/4), a PoleResolutionError is raised instead of returning a
-    silently under-resolved value.  Truncation at +/-e_cut is part of the
-    definition here; see truncation_tail for the leftover.
+    The integrand's poles sit at distance d = eps/(2 omega) below and above
+    the real axis at E = +/-omega.  Within the window of half-width
+    W = min(0.5, 0.9 omega) around each, one panel of half-width d is
+    centred on the pole and panels doubling in length step out to W on
+    either side, so every panel lies at a distance comparable to its length
+    from the pole and converges geometrically.  The rest of [-e_cut, e_cut]
+    is cut into uniform panels of length at most 1.  The node count grows
+    as log(1/eps), not 1/eps.
+
+    n_points is the caller's node budget.  The mesh's node count is worked
+    out from its panel counts before any array is built; if it exceeds the
+    budget, a PoleResolutionError is raised instead of returning an
+    under-resolved value.  Truncation at +/-e_cut is part of the definition
+    here; see truncation_tail for the leftover.
     """
     if sigma not in (1, -1):
         raise ValueError(f"sigma must be +1 or -1, got {sigma}")
-    if omega <= 0:
-        raise ValueError("omega must be strictly positive")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if e_cut < 10 * omega:
-        raise ValueError("e_cut must be well above omega (>= 10*omega)")
-    segments = _graded_mesh(omega, eps, e_cut)
-    required = _mesh_points(segments)
+    if not 0 < omega < np.inf:
+        raise ValueError(f"omega must be finite and strictly positive, got {omega}")
+    if not np.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
+    if not 10 * omega <= e_cut < np.inf:
+        raise ValueError(f"e_cut must be finite and well above omega (>= 10*omega), "
+                         f"got {e_cut}")
+    w_half = min(0.5, 0.9 * omega)
+    inner = min(eps / (2.0 * omega), w_half)
+    graded = math.ceil(math.log2(w_half / inner))    # per side of each pole
+    outer = math.ceil(e_cut - omega - w_half)        # per outer segment
+    middle = math.ceil(2.0 * (omega - w_half))
+    required = _PANEL_NODES * (2 * outer + middle + 2 * (2 * graded + 1))
     if n_points < required:
         raise PoleResolutionError(
-            f"point budget {n_points} under-resolves the poles: the graded mesh "
-            f"needs {required} points to keep spacing <= {eps / 4:g} near E = +/-{omega:g}"
+            f"node budget {n_points} is below the {required} nodes of the panel "
+            f"mesh on [-{e_cut:g}, {e_cut:g}] graded to half-width {inner:g} "
+            f"at E = +/-{omega:g}"
         )
-    total = 0.0 + 0.0j
-    for lo, hi, h in segments:
-        n = int(np.ceil((hi - lo) / h)) + 1
-        grid = np.linspace(lo, hi, n)
-        f = np.exp(1j * sigma * grid * tau) / (grid**2 - omega**2 + 1j * eps)
-        total += np.trapezoid(f, grid)
-    return complex(total / (2.0 * np.pi))
+    steps = np.minimum(inner * 2.0 ** np.arange(graded + 1), w_half)
+    around = np.concatenate([-steps[::-1], steps])   # -W .. W about a pole
+    edges = np.concatenate([
+        np.linspace(-e_cut, -omega - w_half, outer + 1)[:-1],
+        around - omega,
+        np.linspace(-omega + w_half, omega - w_half, middle + 1)[1:-1],
+        around + omega,
+        np.linspace(omega + w_half, e_cut, outer + 1)[1:],
+    ])
+    x, w = _gauss_legendre()
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = mid[:, None] + half[:, None] * x
+    weights = half[:, None] * w
+    f = np.exp(1j * sigma * tau * nodes) / (nodes * nodes - omega * omega + 1j * eps)
+    # a plain weighted sum: a BLAS dot of this length runs threaded, and
+    # OpenBLAS leaves its worker spinning on a core after it returns
+    return complex((f * weights).sum() / (2.0 * np.pi))
 
 
 # below this argument Ci and Si come from their power series, above it from
@@ -239,9 +262,10 @@ def richardson_kernel(omega: float, tau: float,
                       sigma: int = 1) -> complex:
     """Extrapolate the quadrature kernel to eps -> 0.
 
-    Polynomial (Richardson) extrapolation in eps of the trapezoid values,
-    plus the eps-independent truncation tail, which is always added:
+    Polynomial (Richardson) extrapolation in eps of the panel quadrature
+    values, plus the eps-independent truncation tail, which is always added:
     without it the accuracy floors at ~2*omega/(pi*e_cut) relative.
+    n_points is the node budget of each quadrature call.
     """
     eps_values = sorted(set(float(e) for e in eps_values), reverse=True)
     if len(eps_values) < 2:

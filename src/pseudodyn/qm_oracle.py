@@ -61,12 +61,14 @@ class QMGrid:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.q_max <= self.q_min:
+        if not self.q_max > self.q_min:
             raise ValueError("q_max must exceed q_min")
         if self.n_points < 16:
             raise ValueError("n_points too small for a meaningful grid")
-        if self.dt <= 0 or self.omega <= 0 or self.hbar <= 0:
-            raise ValueError("dt, omega, hbar must be positive")
+        for name in ("dt", "omega", "hbar"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
         if self.dt > 0.01 / self.omega + 1e-15:
             raise ValueError(
                 f"dt={self.dt} too coarse; need dt <= 0.01/omega = {0.01 / self.omega:g}"

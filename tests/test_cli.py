@@ -69,6 +69,8 @@ BAD_INPUTS = [
     ("verify-first-order", ["--v-spec", "single:x"], None),
     ("verify-first-order", [], {"modes": "16"}),
     ("oracle-qm", [], {"qm_dt": 0.5}),
+    # NaN passes an `x <= 0` test; the solver would fail after the first write
+    ("oracle-qm", [], '{"qm_dt": NaN}'),
     ("sweep", [], {"sweep_modes": [3]}),
     # mode 3 exists on the 16-mode lattice but not on the 2-mode sweep one
     ("sweep", ["--v-spec", "single:3"], {"sweep_modes": [2, 8]}),

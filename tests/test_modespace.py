@@ -34,7 +34,8 @@ def test_mode_frequency_values(box, mass, k, expected):
 @pytest.mark.parametrize("bad", [dict(num_modes=3), dict(num_modes=0),
                                  dict(num_modes=-4), dict(mass=0.0),
                                  dict(mass=-1.0), dict(box_length=0.0),
-                                 dict(hbar=0.0)])
+                                 dict(hbar=0.0), dict(mass=np.nan),
+                                 dict(box_length=np.nan), dict(hbar=np.nan)])
 def test_invalid_construction_rejected(bad):
     kwargs = dict(num_modes=4, box_length=1.0, mass=1.0, hbar=1.0)
     kwargs.update(bad)

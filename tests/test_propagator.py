@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -28,6 +30,17 @@ def test_closed_form_matches_quadrature_oracle():
             assert abs(oracle - closed) / abs(closed) < 1e-5, (sigma, omega, tau)
 
 
+def test_richardson_error_below_1e7_on_criterion_1_grid():
+    # the oracle's own error sits two decades below criterion 1's 1e-5 bound
+    for sigma in (1, -1):
+        for omega in (0.5, 1.0, 2.0):
+            for tau in (0.0, 0.7, 2.0):
+                oracle = richardson_kernel(omega, tau, (1e-2, 1e-3, 1e-4),
+                                           1e3 * omega, sigma=sigma)
+                closed = feynman_kernel_closed(omega, tau)
+                assert abs(oracle - closed) / abs(closed) < 1e-7, (sigma, omega, tau)
+
+
 def test_tau_sign_symmetry_exact():
     for omega in (0.5, 1.0, 3.7):
         for tau in (0.3, 1.0, 12.0):
@@ -41,10 +54,15 @@ def test_unimodular_scale():
 
 
 def test_omega_must_be_positive():
-    with pytest.raises(ValueError):
-        feynman_kernel_closed(0.0, 1.0)
-    with pytest.raises(ValueError):
-        feynman_kernel_closed(-1.0, 1.0)
+    for omega in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError):
+            feynman_kernel_closed(omega, 1.0)
+    # non-finite omega, tau or eps: never a silent 0j or nan
+    for args in [(np.nan, 0.0, 1e-3), (np.inf, 0.0, 1e-3), (0.0, 0.0, 1e-3),
+                 (1.0, np.nan, 1e-3), (1.0, np.inf, 1e-3),
+                 (1.0, 0.0, np.nan), (1.0, 0.0, np.inf), (1.0, 0.0, 0.0)]:
+        with pytest.raises(ValueError):
+            feynman_kernel_quadrature(*args, 200.0)
 
 
 def test_invalid_sigma_rejected():
@@ -83,14 +101,36 @@ def test_under_resolved_grid_raises():
         feynman_kernel_quadrature(1.0, 0.0, 1e-3, 200.0, n_points=1000)
 
 
+def test_node_count_grows_as_log_of_inverse_eps():
+    # eps = 1e-8 grades each pole down to half-width 5e-9 in 27 doublings,
+    # so 100 000 nodes suffice where a fixed fraction-of-eps spacing would
+    # need billions of points
+    q = feynman_kernel_quadrature(1.0, 0.0, 1e-8, 1000.0, n_points=100_000)
+    reference = feynman_kernel_closed(1.0, 0.0) - truncation_tail(1.0, 0.0, 1000.0)
+    assert abs(q - reference) < 1e-3
+
+
+def test_over_budget_mesh_refused_before_allocation():
+    # 4e13 nodes at e_cut = 1e12: the count is checked before any array
+    tracemalloc.start()
+    try:
+        with pytest.raises(PoleResolutionError):
+            feynman_kernel_quadrature(1.0, 0.0, 1e-3, 1e12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
 def test_richardson_needs_two_eps():
     with pytest.raises(ValueError):
         richardson_kernel(1.0, 0.0, eps_values=(1e-3,))
 
 
 def test_e_cut_validated():
-    with pytest.raises(ValueError):
-        feynman_kernel_quadrature(1.0, 0.0, 1e-3, 5.0)
+    for e_cut in (5.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="e_cut"):
+            feynman_kernel_quadrature(1.0, 0.0, 1e-3, e_cut)
 
 
 def test_cisi_matches_scipy_sici():

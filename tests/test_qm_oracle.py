@@ -43,6 +43,12 @@ def test_grid_validation():
         QMGrid(-1.0, 1.0, 512, 1e-3, -1.0)
     with pytest.raises(ValueError):
         QMGrid(-1.0, 1.0, 512, 0.5, 1.0)  # dt > 0.01/omega
+    with pytest.raises(ValueError, match="dt"):
+        QMGrid(-1.0, 1.0, 512, np.nan, 1.0)
+    with pytest.raises(ValueError, match="omega"):
+        QMGrid(-1.0, 1.0, 512, 1e-3, np.nan)
+    with pytest.raises(ValueError, match="q_max"):
+        QMGrid(np.nan, 1.0, 512, 1e-3, 1.0)
 
 
 def test_ground_state_value_at_origin(grid, vacuum):
