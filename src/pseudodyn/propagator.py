@@ -45,13 +45,19 @@ class PoleResolutionError(ValueError):
 def feynman_kernel_closed(omega, tau):
     """Exact eps -> 0+ kernel, -(i/(2 omega)) e^{-i omega |tau|}.
 
-    Accepts scalars or arrays (broadcast); omega must be strictly positive.
+    Accepts scalars or arrays (broadcast); omega must be finite and strictly
+    positive and tau finite.
     The value depends on |tau| only, so the transform sign never enters.
     """
     w = np.asarray(omega, dtype=float)
-    if not np.all(w > 0):
-        raise ValueError("omega must be strictly positive")
-    out = -0.5j / w * np.exp(-1j * w * np.abs(tau))
+    t = np.abs(tau)
+    # min/max propagate NaN, so each comparison also refuses it
+    if not 0 < w.min() <= w.max() < np.inf:
+        raise ValueError("omega must be finite and strictly positive")
+    if not t.max() < np.inf:
+        raise ValueError("tau must be finite")
+    # -1j * t first: with a scalar tau that is one array product, not two
+    out = -0.5j / w * np.exp(-1j * t * w)
     if np.isscalar(omega) and np.isscalar(tau):
         return complex(out)
     return out
@@ -171,25 +177,35 @@ def feynman_kernel_quadrature(omega: float, tau: float, eps: float, e_cut: float
     return complex((f * weights).sum() / (2.0 * np.pi))
 
 
-# below this argument Ci and Si come from their power series, above it from
-# the continued fraction of E1(ix)
-_CISI_SERIES_MAX = 2.0
-_CISI_TERMS = 30      # series terms; the last is below 1e-25 at x = 2
-_CF_MAX_ITER = 200    # x = 2 converges after 87 terms
+# below this argument h(x) comes from the power series of E1, above it from
+# the continued fraction
+_E1_SERIES_MAX = 2.0
+_E1_SERIES_TERMS = 30  # the last term is below 1e-25 at x = 2
+_CF_MAX_ITER = 200     # x = 2 converges after 87 terms
 
 
-def _e1_aux(x: np.ndarray) -> np.ndarray:
-    """h(x) = e^{ix} E1(ix) = g(x) - i f(x) for x >= 2, f and g the
+def _e1_aux(x) -> np.ndarray:
+    """h(x) = e^{ix} E1(ix) = g(x) - i f(x) for x > 0, f and g the
     auxiliary functions of Ci and Si (Abramowitz & Stegun 5.2.8-9).
 
-    Modified Lentz evaluation of E1(z) = e^{-z} / (z + 1 - 1/(z + 3 - 4/(z + 5 - ...)))
-    at z = ix (Numerical Recipes, 3rd ed., section 6.9).
+    Below x = 2, from the series E1(z) = -gamma - ln z - sum_{k >= 1}
+    (-z)^k / (k k!) (A&S 5.1.11).  Above it, by modified Lentz evaluation of
+    E1(z) = e^{-z} / (z + 1 - 1/(z + 3 - 4/(z + 5 - ...))) at z = ix
+    (Numerical Recipes, 3rd ed., section 6.9).
     """
-    b = 1.0 + 1j * x
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape, dtype=complex)
+    small = x < _E1_SERIES_MAX
+    xs = x[small]
+    k = np.arange(1, _E1_SERIES_TERMS + 1)
+    series = (np.cumprod(-1j * xs[:, None] / k, axis=1) / k).sum(axis=1)
+    out[small] = -np.exp(1j * xs) * (np.euler_gamma + np.log(xs) + 0.5j * np.pi
+                                     + series)
+    b = 1.0 + 1j * x[~small]
     c = np.full_like(b, 1.0 / np.finfo(float).tiny)
     d = 1.0 / b
     h = d.copy()
-    converged = np.zeros(x.shape, dtype=bool)
+    converged = np.zeros(b.shape, dtype=bool)
     for i in range(1, _CF_MAX_ITER):
         a = -float(i * i)
         b = b + 2.0
@@ -199,32 +215,9 @@ def _e1_aux(x: np.ndarray) -> np.ndarray:
         h *= delta
         converged |= np.abs(delta - 1.0) <= np.finfo(float).eps
         if converged.all():
-            return h
+            out[~small] = h
+            return out
     raise ArithmeticError("E1(ix) continued fraction did not converge")
-
-
-def _cisi(x) -> tuple[np.ndarray, np.ndarray]:
-    """Cosine and sine integrals Ci(x), Si(x) for x > 0.
-
-    Power series below x = 2; above it, from the auxiliary functions of
-    _e1_aux: Ci = f sin x - g cos x and Si = pi/2 - f cos x - g sin x.
-    """
-    x = np.asarray(x, dtype=float)
-    ci = np.empty_like(x)
-    si = np.empty_like(x)
-    small = x < _CISI_SERIES_MAX
-    xs = x[small]
-    # Ci(x) + i Si(x) = gamma + ln x + sum_{k >= 1} (ix)^k / (k k!)
-    k = np.arange(1, _CISI_TERMS + 1)
-    series = (np.cumprod(1j * xs[:, None] / k, axis=1) / k).sum(axis=1)
-    ci[small] = np.euler_gamma + np.log(xs) + series.real
-    si[small] = series.imag
-    xl = x[~small]
-    h = _e1_aux(xl)
-    f, g = -h.imag, h.real
-    ci[~small] = f * np.sin(xl) - g * np.cos(xl)
-    si[~small] = 0.5 * np.pi - (f * np.cos(xl) + g * np.sin(xl))
-    return ci, si
 
 
 def truncation_tail(omega: float, tau: float, e_cut: float) -> complex:
@@ -235,22 +228,19 @@ def truncation_tail(omega: float, tau: float, e_cut: float) -> complex:
 
         2 pi omega T = Re[e^{-i a |tau|} (h(x_-) - h(x_+))],
 
-    h(x) = e^{ix} E1(ix) = -e^{ix} (Ci(x) + i (pi/2 - Si(x))).  Above x = 2
-    h comes straight from the continued fraction, so pi/2 - Si is never
-    formed by subtraction and both terms share the one phase e^{-i a |tau|}.
+    h(x) = e^{ix} E1(ix) = -e^{ix} (Ci(x) + i (pi/2 - Si(x))).  h comes
+    straight from E1, so pi/2 - Si is never formed by subtraction and both
+    terms share the one phase e^{-i a |tau|}.
     At tau = 0, T = ln((a + omega)/(a - omega)) / (2 pi omega).
     """
-    if not 0 < omega < e_cut:
-        raise ValueError("need 0 < omega < e_cut")
+    if not 0 < omega < e_cut < np.inf:
+        raise ValueError(f"need 0 < omega < e_cut < inf, got omega={omega}, e_cut={e_cut}")
+    if not np.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
     t = abs(tau)
     if t == 0:
         return complex(np.log1p(2.0 * omega / (e_cut - omega)) / (2.0 * np.pi * omega))
-    x = np.array([e_cut - omega, e_cut + omega]) * t
-    if x[0] >= _CISI_SERIES_MAX:
-        h = _e1_aux(x)
-    else:
-        ci, si = _cisi(x)
-        h = -np.exp(1j * x) * (ci + 1j * (0.5 * np.pi - si))
+    h = _e1_aux(np.array([e_cut - omega, e_cut + omega]) * t)
     return complex((np.exp(-1j * e_cut * t) * (h[0] - h[1])).real
                    / (2.0 * np.pi * omega))
 

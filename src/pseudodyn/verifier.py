@@ -27,11 +27,11 @@ g_k = c_sign h omega_k^2 / 2, H Phi / Phi has
 The dense operators gaussian.apply_first_order / apply_second_order give the
 same polynomials and are the reference the tests compare against.
 
-The finite-difference column re-derives i dPhi/dT / Phi from neighbours
-rebuilt from the kernel, in the log domain: expm1 of S(T +/- dt) - S(T),
-differenced coefficient by coefficient, so no exponent is exponentiated
-whole and a large |Re S| cannot overflow.  The stencil's error goes as
-(omega dt)^2, so the default step is 3e-4 / omega_max and follows the
+The finite-difference column re-derives i dPhi/dT / Phi = i dS/dT from
+neighbours rebuilt from the kernel, differencing S(T +/- dt) - S(T)
+coefficient by coefficient.  Nothing is exponentiated, so a large |Re S|
+cannot overflow and the error is the stencil's (omega dt)^2 / 6 however
+large the layer.  The step is always 3e-4 / omega_max, following the
 lattice cutoff.  Below T = dt, where T - dt has no source construction, a
 one-sided second-order stencil on T, T + dt, T + 2 dt replaces the central
 one.
@@ -51,16 +51,17 @@ __all__ = ["first_order_residual", "schrodinger_residual",
            "sample_mode_amplitudes"]
 
 _FD_FLOOR = 1e-300
-# default FD step is this phase over the highest lattice frequency
+# the FD step is this phase over the highest lattice frequency
 _FD_PHASE_STEP = 3e-4
+# numeric u samples per identity check
+_U_SAMPLES = 16
 
 
-def sample_mode_amplitudes(n_modes: int, n_samples: int, seed: int = 0,
-                           scale: float = 1.0) -> np.ndarray:
-    """Complex samples, Re and Im independently uniform in [-scale, scale]."""
+def sample_mode_amplitudes(n_modes: int, n_samples: int, seed: int = 0) -> np.ndarray:
+    """Complex samples, Re and Im independently uniform in [-1, 1]."""
     rng = np.random.default_rng(seed)
-    return scale * (rng.uniform(-1.0, 1.0, (n_samples, n_modes))
-                    + 1j * rng.uniform(-1.0, 1.0, (n_samples, n_modes)))
+    return (rng.uniform(-1.0, 1.0, (n_samples, n_modes))
+            + 1j * rng.uniform(-1.0, 1.0, (n_samples, n_modes)))
 
 
 def _pair_values(q2: np.ndarray, q1: np.ndarray, us: np.ndarray,
@@ -74,23 +75,22 @@ def _pair_values(q2: np.ndarray, q1: np.ndarray, us: np.ndarray,
 
 def _fd_log_derivative(state: EvolutionState, us: np.ndarray,
                        uu: np.ndarray, dt: float) -> np.ndarray:
-    """(dPhi/dT) / Phi at each sample, by finite differences of S.
+    """dS/dT = (dPhi/dT) / Phi at each sample, by finite differences of S.
 
     Every neighbour is rebuilt from the kernel, so the derivative is
     independent of the phase law under test.
     """
     g = state.coeffs
 
-    def growth(step):
-        """Phi(T + step, u) / Phi(T, u) - 1."""
+    def rise(step):
+        """S(T + step, u) - S(T, u)."""
         n = evolution_functional(state.space, state.v_hat, state.t + step,
                                  state.calibration).coeffs
-        return np.expm1(_pair_values(n.a_pair - g.a_pair, n.b - g.b, us, uu)
-                        + (n.c - g.c))
+        return _pair_values(n.a_pair - g.a_pair, n.b - g.b, us, uu) + (n.c - g.c)
 
     if state.t >= dt:
-        return (growth(dt) - growth(-dt)) / (2.0 * dt)
-    return (4.0 * growth(dt) - growth(2.0 * dt)) / (2.0 * dt)
+        return (rise(dt) - rise(-dt)) / (2.0 * dt)
+    return (4.0 * rise(dt) - rise(2.0 * dt)) / (2.0 * dt)
 
 
 def _fd_residual(fd_ratio: np.ndarray, target: np.ndarray) -> float:
@@ -99,12 +99,10 @@ def _fd_residual(fd_ratio: np.ndarray, target: np.ndarray) -> float:
                         / np.maximum(1.0, np.abs(target))))
 
 
-def _fd_samples(ms: ModeSpace, u_samples: int, seed: int, u_scale: float,
-                dt_step: float | None):
-    """The u samples with their pair products, and the FD step to use."""
-    us = sample_mode_amplitudes(ms.num_modes, u_samples, seed, u_scale)
-    dt = _FD_PHASE_STEP / float(ms.frequencies.max()) if dt_step is None else dt_step
-    return us, us * us[:, ms.negation], dt
+def _fd_samples(ms: ModeSpace, seed: int):
+    """The u samples with their pair products, and the FD step."""
+    us = sample_mode_amplitudes(ms.num_modes, _U_SAMPLES, seed)
+    return us, us * us[:, ms.negation], _FD_PHASE_STEP / float(ms.frequencies.max())
 
 
 def _base_params(state: EvolutionState, seed: int) -> dict:
@@ -124,30 +122,27 @@ def _first_order_rhs(state: EvolutionState) -> tuple[np.ndarray, np.ndarray]:
 
 
 def first_order_residual(state: EvolutionState, tol_coeff: float = 1e-12,
-                         tol_numeric: float = 1e-6, u_samples: int = 16,
-                         dt_step: float | None = None, seed: int = 0,
-                         u_scale: float = 1.0) -> ResidualReport:
+                         tol_numeric: float = 1e-6, seed: int = 0) -> ResidualReport:
     """Residual of i dPhi/dT = sum_k u_k (omega_k d/du_k - u_{-k}) Phi.
 
     The time derivative on the left is taken analytically from the exact
     coefficient laws (dA/dT = 0, i db_k/dT = omega_k b_k, dc/dT = 0), whose
     Q1 = omega b cancels the right side's exactly; the finite-difference
     column then independently checks those laws against freshly built
-    neighbors at step dt_step (default 3e-4 / omega_max, recorded in
-    params).  The verdict is invariant under a common rescaling of the
-    numeric u samples (u_scale).
+    neighbours, differencing S at the step 3e-4 / omega_max (recorded as
+    params["dt_step"]) on params["u_samples"] samples drawn from seed.
     """
     ms = state.space
     rhs_q2, rhs_q1 = _first_order_rhs(state)
     max_q2 = float(np.max(np.abs(rhs_q2)))
 
-    us, uu, dt = _fd_samples(ms, u_samples, seed, u_scale, dt_step)
+    us, uu, dt = _fd_samples(ms, seed)
     fd_max = _fd_residual(1j * _fd_log_derivative(state, us, uu, dt),
                           _pair_values(rhs_q2, rhs_q1, us, uu))
 
     params = _base_params(state, seed)
     params.update({
-        "dt_step": dt, "u_samples": u_samples,
+        "dt_step": dt, "u_samples": _U_SAMPLES,
         "achieved_c2": complex((2.0 * ms.frequencies * state.coeffs.a_pair).mean()),
     })
     ok = max_q2 < tol_coeff and fd_max < tol_numeric
@@ -195,26 +190,23 @@ def resolve_hamiltonian_signs(state: EvolutionState) -> tuple[int, int]:
 
 def schrodinger_residual(state: EvolutionState, tol_coeff: float = 1e-10,
                          tol_spread: float = 1e-9, tol_numeric: float = 1e-6,
-                         u_samples: int = 16, dt_step: float | None = None,
-                         seed: int = 0, u_scale: float = 1.0,
-                         signs: tuple[int, int] | None = None) -> ResidualReport:
+                         seed: int = 0) -> ResidualReport:
     """Residual of the normally ordered Schrodinger form, up to a T function.
 
-    Q2 and Q1 of (i h d/dT - H) Phi / Phi are judged; the constant Q0 is
-    reported as the recovered T function.  The numeric spread column checks
-    u-independence of the sampled residual; the fd column re-derives the
-    time derivative by finite differences at step dt_step (default
-    3e-4 / omega_max, recorded in params).  H = h * H|_{h=1}, so with the
-    first-order calibration (a_k = 1 / (2 omega_k) at every h) the form
-    closes at any hbar.  The trace part of Q0 is compared with c_sign times
+    Q2 and Q1 of (i h d/dT - H) Phi / Phi are judged, with the pairing signs
+    that resolve_hamiltonian_signs picks; the constant Q0 is reported as the
+    recovered T function.  The numeric spread column checks u-independence
+    of the sampled residual; the fd column re-derives the time derivative
+    by differencing S at the step 3e-4 / omega_max (recorded as
+    params["dt_step"]).  H = h * H|_{h=1}, so with the first-order
+    calibration (a_k = 1 / (2 omega_k) at every h) the form closes at any
+    hbar.  The trace part of Q0 is compared with c_sign times
     the zero-point energy sum_k h omega_k / 2, taken from the frequencies
     alone, and the gap is reported as params["trace_identity_gap"].
     """
     ms = state.space
     h = ms.hbar
-    if signs is None:
-        signs = resolve_hamiltonian_signs(state)
-    q_sign, c_sign = signs
+    q_sign, c_sign = resolve_hamiltonian_signs(state)
     h_q2, h_q1, g = _hamiltonian(state, q_sign, c_sign)
     resid_q1 = h * ms.frequencies * state.coeffs.b - h_q1
     max_q2 = float(np.max(np.abs(h_q2)))
@@ -226,7 +218,7 @@ def schrodinger_residual(state: EvolutionState, tol_coeff: float = 1e-10,
     resid_q0 = -(q0_b_part + q0_trace)
     trace_gap = abs(q0_trace - c_sign * 0.5 * h * float(np.sum(ms.frequencies)))
 
-    us, uu, dt = _fd_samples(ms, u_samples, seed, u_scale, dt_step)
+    us, uu, dt = _fd_samples(ms, seed)
     spread = (float(np.max(np.abs(_pair_values(-h_q2, resid_q1, us, uu))))
               / max(1.0, abs(resid_q0)))
     fd_max = _fd_residual(1j * h * _fd_log_derivative(state, us, uu, dt),
@@ -234,7 +226,7 @@ def schrodinger_residual(state: EvolutionState, tol_coeff: float = 1e-10,
 
     params = _base_params(state, seed)
     params.update({
-        "dt_step": dt, "u_samples": u_samples,
+        "dt_step": dt, "u_samples": _U_SAMPLES,
         "q_sign": q_sign, "c_sign": c_sign,
         "q0_b_part": q0_b_part, "q0_trace": q0_trace,
         "trace_identity_gap": trace_gap,

@@ -66,8 +66,7 @@ def test_criterion_2_first_order_exactness():
             for t in GRID_TIMES:
                 state = evolution_functional(space, layer, t, calibration=calib)
                 rep = first_order_residual(state, tol_coeff=1e-12,
-                                           tol_numeric=1e-6, u_samples=16,
-                                           dt_step=1e-4)
+                                           tol_numeric=1e-6)
                 ok &= rep.passed
     elapsed = time.perf_counter() - start
     ok &= elapsed < 10.0
@@ -85,7 +84,7 @@ def test_criterion_3_schrodinger_up_to_t_function():
             for t in GRID_TIMES:
                 state = evolution_functional(space, layer, t, calibration=calib)
                 rep = schrodinger_residual(state, tol_coeff=1e-10,
-                                           tol_spread=1e-9, u_samples=16)
+                                           tol_spread=1e-9)
                 ok &= rep.passed
                 q0 = rep.q0
                 gap = rep.params["trace_identity_gap"]

@@ -7,7 +7,7 @@ from scipy import integrate, special
 from pseudodyn import (PoleResolutionError, feynman_kernel_closed,
                        feynman_kernel_quadrature, richardson_kernel,
                        truncation_tail)
-from pseudodyn.propagator import _cisi
+from pseudodyn.propagator import _e1_aux
 
 
 def test_closed_form_frozen_values():
@@ -57,6 +57,18 @@ def test_omega_must_be_positive():
     for omega in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError):
             feynman_kernel_closed(omega, 1.0)
+    # a non-finite omega or tau is refused before any arithmetic
+    for args, name in [((np.inf, 1.0), "omega"), ((1.0, np.nan), "tau"),
+                       ((1.0, -np.inf), "tau"),
+                       ((np.array([1.0, np.inf]), 1.0), "omega"),
+                       ((np.array([1.0, 2.0]), np.array([0.5, np.nan])), "tau")]:
+        with pytest.raises(ValueError, match=name):
+            feynman_kernel_closed(*args)
+    # the truncation tail names the argument instead of failing to converge
+    for args, name in [((1.0, np.nan, 100.0), "tau"), ((1.0, np.inf, 100.0), "tau"),
+                       ((1.0, 1.0, np.inf), "e_cut")]:
+        with pytest.raises(ValueError, match=name):
+            truncation_tail(*args)
     # non-finite omega, tau or eps: never a silent 0j or nan
     for args in [(np.nan, 0.0, 1e-3), (np.inf, 0.0, 1e-3), (0.0, 0.0, 1e-3),
                  (1.0, np.nan, 1e-3), (1.0, np.inf, 1e-3),
@@ -134,9 +146,11 @@ def test_e_cut_validated():
 
 
 def test_cisi_matches_scipy_sici():
+    # h(x) = e^{ix} E1(ix) = -e^{ix} (Ci(x) + i (pi/2 - Si(x)))
     x = np.concatenate([np.geomspace(1e-6, 1e5, 4001),
                         np.linspace(1.9, 2.1, 201)])
-    ci, si = _cisi(x)
+    z = -np.exp(-1j * x) * _e1_aux(x)
+    ci, si = z.real, 0.5 * np.pi - z.imag
     ref_si, ref_ci = special.sici(x)
     assert np.all(np.abs(ci - ref_ci) <= 1e-13 * np.maximum(1.0, np.abs(ref_ci)))
     assert np.all(np.abs(si - ref_si) <= 1e-13 * np.maximum(1.0, np.abs(ref_si)))
