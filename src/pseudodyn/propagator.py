@@ -10,12 +10,13 @@ in the limit eps -> 0+, which contour evaluation gives as
 
 independent of the transform sign sigma in {+1, -1}.  The quadrature path
 evaluates the regularized integral by composite Gauss-Legendre quadrature
-on panels graded geometrically toward the poles at E = +/-omega, which lie
-eps/(2 omega) off the real axis, and uniform panels of length at most 1
-elsewhere.  Each panel then converges geometrically (the pole lies outside
-a Bernstein ellipse of fixed size; Trefethen, SIAM Review 50, 2008), so
-the node count grows as log(1/eps).  It exists only to check the closed
-form; the closed form never takes eps as an argument.
+with one panel centred on each pole E = +/-omega, eps/(2 omega) off the
+real axis; every other panel is no longer than its distance to the nearer
+pole nor than two periods of e^{i tau E}.  Each panel then converges
+geometrically (the pole lies outside a Bernstein ellipse of fixed size;
+Trefethen, SIAM Review 50, 2008), and the node count grows as log(1/eps)
+plus log(e_cut) at tau = 0 or e_cut |tau| / (4 pi).  It exists only to
+check the closed form; the closed form never takes eps as an argument.
 sigma is therefore an argument of the quadrature oracle alone, the one
 place it enters an integrand.  The 1/(2pi) normalization is fixed.
 """
@@ -119,14 +120,12 @@ def feynman_kernel_quadrature(omega: float, tau: float, eps: float, e_cut: float
 
     sigma in {+1, -1} is the sign of the energy transform e^{sigma i E tau}.
 
-    The integrand's poles sit at distance d = eps/(2 omega) below and above
-    the real axis at E = +/-omega.  Within the window of half-width
-    W = min(0.5, 0.9 omega) around each, one panel of half-width d is
-    centred on the pole and panels doubling in length step out to W on
-    either side, so every panel lies at a distance comparable to its length
-    from the pole and converges geometrically.  The rest of [-e_cut, e_cut]
-    is cut into uniform panels of length at most 1.  The node count grows
-    as log(1/eps), not 1/eps.
+    The poles sit d = eps/(2 omega) off the real axis at E = +/-omega.  The
+    mesh on [0, e_cut] is mirrored to [-e_cut, 0].  A panel of half-width d
+    is centred on the pole; every other panel is no longer than its distance
+    to the pole nor than cap = 4 pi/|tau| (no cap at tau = 0).  So [0, e_cut]
+    holds about log2(omega/d) + log2(min(e_cut, cap)/d) panels doubling in
+    length and e_cut/cap uniform ones, 20 nodes each.
 
     n_points is the caller's node budget.  The mesh's node count is worked
     out from its panel counts before any array is built; if it exceeds the
@@ -145,27 +144,28 @@ def feynman_kernel_quadrature(omega: float, tau: float, eps: float, e_cut: float
     if not 10 * omega <= e_cut < np.inf:
         raise ValueError(f"e_cut must be finite and well above omega (>= 10*omega), "
                          f"got {e_cut}")
-    w_half = min(0.5, 0.9 * omega)
-    inner = min(eps / (2.0 * omega), w_half)
-    graded = math.ceil(math.log2(w_half / inner))    # per side of each pole
-    outer = math.ceil(e_cut - omega - w_half)        # per outer segment
-    middle = math.ceil(2.0 * (omega - w_half))
-    required = _PANEL_NODES * (2 * outer + middle + 2 * (2 * graded + 1))
+    # panel lengths double from inner while within the cap, then stay below it
+    cap = min(4.0 * math.pi / abs(tau), e_cut) if tau else e_cut
+    inner = min(eps / (2.0 * omega), omega, 0.5 * cap)
+    reach = math.floor(math.log2(cap / inner)) + 1
+    ends = (omega, e_cut - omega)   # from the pole at E = omega to 0 and to e_cut
+    grown = [min(math.ceil(math.log2(end / inner)), reach) for end in ends]
+    capped = [math.ceil((end - min(inner * 2.0 ** g, end)) / cap)
+              for end, g in zip(ends, grown)]
+    required = 2 * _PANEL_NODES * (1 + sum(grown) + sum(capped))
     if n_points < required:
         raise PoleResolutionError(
             f"node budget {n_points} is below the {required} nodes of the panel "
             f"mesh on [-{e_cut:g}, {e_cut:g}] graded to half-width {inner:g} "
             f"at E = +/-{omega:g}"
         )
-    steps = np.minimum(inner * 2.0 ** np.arange(graded + 1), w_half)
-    around = np.concatenate([-steps[::-1], steps])   # -W .. W about a pole
-    edges = np.concatenate([
-        np.linspace(-e_cut, -omega - w_half, outer + 1)[:-1],
-        around - omega,
-        np.linspace(-omega + w_half, omega - w_half, middle + 1)[1:-1],
-        around + omega,
-        np.linspace(omega + w_half, e_cut, outer + 1)[1:],
-    ])
+    # edges as distances from the pole at E = omega, then on [-e_cut, e_cut]
+    below, above = (np.append(np.minimum(inner * 2.0 ** np.arange(g + 1), end),
+                              np.linspace(inner * 2.0 ** g, end, c + 1)[1:])
+                    for end, g, c in zip(ends, grown, capped))
+    half_edges = np.concatenate([omega - below[::-1], omega + above])
+    half_edges[[0, -1]] = 0.0, e_cut
+    edges = np.concatenate([-half_edges[:0:-1], half_edges])
     x, w = _gauss_legendre()
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])

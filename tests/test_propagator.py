@@ -123,15 +123,69 @@ def test_node_count_grows_as_log_of_inverse_eps():
 
 
 def test_over_budget_mesh_refused_before_allocation():
-    # 4e13 nodes at e_cut = 1e12: the count is checked before any array
+    # 3.2e12 nodes at tau = 1, e_cut = 1e12 (oscillation-capped panels of
+    # length 4 pi): the count is checked before any array
     tracemalloc.start()
     try:
         with pytest.raises(PoleResolutionError):
-            feynman_kernel_quadrature(1.0, 0.0, 1e-3, 1e12)
+            feynman_kernel_quadrature(1.0, 1.0, 1e-3, 1e12)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+
+
+def test_node_count_grows_as_log_of_cutoff_at_tau_zero():
+    # with no oscillation to resolve, panels double out to e_cut = 1e12 in
+    # 51 steps: 2 520 nodes
+    q = feynman_kernel_quadrature(1.0, 0.0, 1e-3, 1e12, n_points=2_520)
+    tail = truncation_tail(1.0, 0.0, 1e12)
+    assert abs(q - (feynman_kernel_closed(1.0, 0.0) - tail)) < 1e-3
+    # against the finite-eps contour value the only error is rounding
+    assert abs(q - (-0.5j / np.sqrt(1.0 - 1e-3j) - tail)) < 1e-12
+
+
+def test_criterion_1_calls_fit_a_fixed_node_budget():
+    # the largest criterion-1 mesh (omega 2, tau 2, eps 1e-4, e_cut 2000)
+    # has 14 120 nodes; uniform length-1 outer panels needed 81 220
+    for omega in (0.5, 1.0, 2.0):
+        for tau in (0.0, 0.7, 2.0):
+            for eps in (1e-2, 1e-3, 1e-4):
+                feynman_kernel_quadrature(omega, tau, eps, 1e3 * omega,
+                                          n_points=14_120)
+    with pytest.raises(PoleResolutionError):
+        feynman_kernel_quadrature(2.0, 2.0, 1e-4, 2e3, n_points=14_119)
+
+
+def _truncated_reference(omega, tau, eps, e_cut):
+    """(1/2pi) int_{-e_cut}^{e_cut} e^{i E tau} / (E^2 - omega^2 + i eps) dE
+    in closed form: the full-line contour value at the pole
+    e0 = sqrt(omega^2 - i eps) minus the two tails, by partial fractions,
+    (1/pi) int_a^inf cos(E tau) / (E - c) dE from scipy's complex E1."""
+    e0 = np.sqrt(omega * omega - 1j * eps)
+    t = abs(tau)
+    full = -0.5j * np.exp(-1j * e0 * t) / e0
+    if t == 0:
+        return full - np.log((e_cut + e0) / (e_cut - e0)) / (2.0 * np.pi * e0)
+
+    def cos_tail(c):
+        z = 1j * t * (e_cut - c)
+        return 0.5 * (np.exp(1j * t * c) * special.exp1(-z)
+                      + np.exp(-1j * t * c) * special.exp1(z))
+
+    return full - (cos_tail(e0) - cos_tail(-e0)) / (2.0 * np.pi * e0)
+
+
+def test_quadrature_matches_contour_reference_at_finite_eps():
+    # worst measured error 3.7e-12 (omega 3, tau 0, eps 1e-4, rounding
+    # near the pole); the bound leaves a factor 27.  Length-1 panels next
+    # to the pole at omega = 0.1 missed by 1.3e-9 at tau = 40.
+    for omega in (0.1, 1.0, 3.0):
+        for tau in (0.0, 2.0, 12.0, 40.0):
+            for eps in (1e-2, 1e-4):
+                ref = _truncated_reference(omega, tau, eps, 100 * omega)
+                q = feynman_kernel_quadrature(omega, tau, eps, 100 * omega)
+                assert abs(q - ref) <= 1e-10 * abs(ref), (omega, tau, eps)
 
 
 def test_richardson_needs_two_eps():
