@@ -7,7 +7,7 @@ driven-oscillator grid solver."""
 from .gaussian import (GaussianCoefficients, PairCoefficients,
                        QuadraticPolynomial, apply_first_order,
                        apply_second_order, evaluate, gradient_at,
-                       log_evaluate, rescale)
+                       log_evaluate)
 from .modespace import ModeSpace, ModeVector, build_mode_space
 from .propagator import (PoleResolutionError, feynman_kernel_closed,
                          feynman_kernel_quadrature, richardson_kernel,

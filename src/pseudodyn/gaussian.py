@@ -41,7 +41,6 @@ __all__ = [
     "gradient_at",
     "apply_first_order",
     "apply_second_order",
-    "rescale",
 ]
 
 # np.exp overflows (to inf) just above this; callers needing larger
@@ -232,16 +231,3 @@ def apply_second_order(g: GaussianCoefficients, curvature: np.ndarray,
     q0 = complex(g.b @ c @ g.b + np.trace(a2 @ c))
     return QuadraticPolynomial(q2, q1, q0)
 
-
-def rescale(g: GaussianCoefficients | PairCoefficients, lam: complex):
-    """Coefficient image of u -> lam*u: A -> lam^2 A, b -> lam b, c unchanged.
-
-    evaluate(rescale(g, lam), u) == evaluate(g, lam*u).  The pair form maps
-    a_k -> lam^2 a_k and stays in pair form.
-    """
-    lam = complex(lam)
-    if lam == 0:
-        raise ValueError("rescale factor must be nonzero")
-    if isinstance(g, PairCoefficients):
-        return PairCoefficients(lam * lam * g.a_pair, lam * g.b, g.c, g.negation)
-    return GaussianCoefficients(lam * lam * g.a, lam * g.b, g.c)

@@ -130,8 +130,9 @@ def feynman_kernel_quadrature(omega: float, tau: float, eps: float, e_cut: float
     n_points is the caller's node budget.  The mesh's node count is worked
     out from its panel counts before any array is built; if it exceeds the
     budget, a PoleResolutionError is raised instead of returning an
-    under-resolved value.  Truncation at +/-e_cut is part of the definition
-    here; see truncation_tail for the leftover.
+    under-resolved value; so is ulp(omega^2) > 1e-6 eps, where rounding of
+    E^2 - omega^2 at the pole rivals eps.  Truncation at +/-e_cut is part of
+    the definition here; see truncation_tail for the leftover.
     """
     if sigma not in (1, -1):
         raise ValueError(f"sigma must be +1 or -1, got {sigma}")
@@ -144,6 +145,8 @@ def feynman_kernel_quadrature(omega: float, tau: float, eps: float, e_cut: float
     if not 10 * omega <= e_cut < np.inf:
         raise ValueError(f"e_cut must be finite and well above omega (>= 10*omega), "
                          f"got {e_cut}")
+    if math.ulp(omega * omega) > 1e-6 * eps:
+        raise PoleResolutionError(f"eps {eps:g} is below 1e6 ulp(omega^2) at omega {omega:g}")
     # panel lengths double from inner while within the cap, then stay below it
     cap = min(4.0 * math.pi / abs(tau), e_cut) if tau else e_cut
     inner = min(eps / (2.0 * omega), omega, 0.5 * cap)

@@ -27,13 +27,13 @@ term closes for any lambda, since i db/dT = omega b holds exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import GaussianCoefficients, PairCoefficients, rescale
+from .gaussian import GaussianCoefficients, PairCoefficients
 from .modespace import ModeSpace, ModeVector
-from .sources import z_exponent
+from .sources import contract_v, exponent_coefficients, z_exponent
 
 __all__ = ["ConventionCalibration", "EvolutionState", "evolution_functional",
            "advance", "calibrate"]
@@ -91,25 +91,29 @@ def evolution_functional(space: ModeSpace, v_hat: ModeVector, t: float,
                          calibration: ConventionCalibration | None = None) -> EvolutionState:
     """Build Phi(T, .) from the initial layer data v at T0 = 0.
 
-    Negative T is rejected: the kernel's |tau| would silently fold it onto
-    +|T|, and the two boundary weights are not orientation-symmetric.
+    It is z_exponent(space, T).gaussian_in_u(v_hat) read at lambda u, built by
+    one sources.contract_v.  Negative T is rejected: the kernel's |tau| would
+    fold it onto +|T|, and the two boundary weights are not orientation-symmetric.
     """
     if t < 0:
         raise ValueError("t must be >= 0; backward construction is not supported")
     if calibration is None:
         calibration = ConventionCalibration(lambda_=1.0,
                                             c2=-1.0 / (2.0 * space.hbar))
-    g = rescale(z_exponent(space, t).gaussian_in_u(v_hat), calibration.lambda_)
+    coefficients = exponent_coefficients(space.frequencies, space.negation,
+                                         space.hbar, 0.0, t)
+    g = contract_v(coefficients, v_hat.values, space.negation, calibration.lambda_)
     return EvolutionState(space, float(t), v_hat, g, calibration)
 
 
 def advance(state: EvolutionState, dt: float) -> EvolutionState:
     """Rotate b by e^{-i omega dt}; A and c are exact invariants of T."""
-    if dt < 0:
-        raise ValueError("dt must be >= 0; backward evolution is not supported")
-    phase = np.exp(-1j * state.space.frequencies * dt)
-    g = replace(state.coeffs, b=phase * state.coeffs.b)
-    return replace(state, t=state.t + dt, coeffs=g)
+    if not 0 <= dt < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"dt must be finite and >= 0, got {dt}")
+    g = state.coeffs
+    b = np.exp(-1j * state.space.frequencies * dt) * g.b
+    return EvolutionState(state.space, state.t + dt, state.v_hat,
+                          PairCoefficients(g.a_pair, b, g.c, g.negation), state.calibration)
 
 
 def calibrate(space: ModeSpace,

@@ -20,7 +20,7 @@ all-ordered-pairs convention of the Gaussian algebra.  Both layers' self
 terms carry the same coincident kernel D(0), hence the one coefficient uu.
 The coefficients depend only on the window [T0, T] and the drive; the
 layers enter only when the exponent is read as a Gaussian in u with v
-contracted (ZExponent.gaussian_in_u).
+contracted (contract_v: ZExponent.gaussian_in_u and the state build).
 Delta-delta terms are exact; delta-drive and drive-drive terms use
 trapezoid quadrature on the drive samples, spread evenly over the window.
 exponent_coefficients is the one place these coefficients are computed:
@@ -39,7 +39,7 @@ from .modespace import ModeSpace, ModeVector
 from .propagator import (feynman_kernel_closed, kernel_double_trapezoid,
                          kernel_trapezoid)
 
-__all__ = ["ZExponent", "exponent_coefficients", "z_exponent"]
+__all__ = ["ZExponent", "contract_v", "exponent_coefficients", "z_exponent"]
 
 
 @dataclass(frozen=True)
@@ -71,15 +71,19 @@ class ZExponent:
         object.__setattr__(self, "const", complex(self.const))
 
     def gaussian_in_u(self, v_hat: ModeVector) -> PairCoefficients:
-        """Read the exponent as a Gaussian in u with the v layer contracted.
+        """The exponent as a Gaussian in u with the v layer contracted."""
+        return contract_v((self.uu, self.uv, self.lin_u, self.lin_v, self.const),
+                          v_hat.values, self.space.negation)
 
-        The u-u coefficients uu_k are the pairings A_{k,-k} as they stand.
-        """
-        neg = self.space.negation
-        v = v_hat.values
-        b = 2.0 * self.uv * v[neg] + self.lin_u
-        c = (self.uu * v * v[neg]).sum() + (self.lin_v * v).sum() + self.const
-        return PairCoefficients(self.uu, b, c, neg)
+
+def contract_v(coefficients, v, negation, lam=1.0) -> PairCoefficients:
+    """The exponent (uu, uv, lin_u, lin_v, const) with v contracted, read at
+    lam * u: pairings a = lam^2 uu, b = lam (2 uv v_{-k} + lin_u), and c."""
+    uu, uv, lin_u, lin_v, const = coefficients
+    v_neg = v[negation]
+    b = 2.0 * uv * v_neg + lin_u
+    c = (uu * v * v_neg).sum() + (lin_v * v).sum() + const
+    return PairCoefficients(lam * lam * uu, lam * b, c, negation)
 
 
 def exponent_coefficients(omegas, negation, hbar: float, t_initial: float,
@@ -93,14 +97,17 @@ def exponent_coefficients(omegas, negation, hbar: float, t_initial: float,
     Delta-delta terms are exact; delta-drive and drive-drive terms are
     trapezoid sums on the sample grid.  A backwards window (t_initial >
     t_final) raises ValueError: the kernel's |tau| would fold it onto the
-    forward one.
+    forward one, and so do non-finite delta-delta terms (uu, uv).
     """
     if t_initial > t_final:
-        raise ValueError(
-            f"t_initial={t_initial} must not exceed t_final={t_final}")
+        raise ValueError(f"t_initial={t_initial} must not exceed t_final={t_final}")
     pref = -0.5j / hbar
-    uu = pref * feynman_kernel_closed(omegas, 0.0)
-    uv = -pref * feynman_kernel_closed(omegas, t_final - t_initial)
+    # one kernel call for tau = 0 and the window (exp(0) == 1: uu is exact)
+    delta_delta = np.array([[pref], [-pref]]) * feynman_kernel_closed(
+        omegas, [[0.0], [t_final - t_initial]])
+    if not np.isfinite(delta_delta).all():
+        raise ValueError("uu, uv have non-finite entries")
+    uu, uv = delta_delta
     if drive is None:
         zero = np.zeros(len(omegas), dtype=complex)
         return uu, uv, zero, zero, 0.0j

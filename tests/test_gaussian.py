@@ -3,7 +3,7 @@ import pytest
 
 from pseudodyn import (GaussianCoefficients, QuadraticPolynomial,
                        apply_first_order, apply_second_order, evaluate,
-                       gradient_at, log_evaluate, rescale)
+                       gradient_at, log_evaluate)
 
 
 def random_gaussian(n, seed, scale=0.5):
@@ -181,46 +181,6 @@ def test_second_order_matches_fd_operator():
                 applied += c[k, kp] * fd_second_derivative(g, u, k, kp)
         predicted = poly.value_at(u) * phi
         assert abs(applied - predicted) / max(abs(predicted), 1e-12) < 1e-5
-
-
-def test_rescale_identity_and_i():
-    g = random_gaussian(4, 51)
-    same = rescale(g, 1.0)
-    assert np.array_equal(same.a, g.a)
-    assert np.array_equal(same.b, g.b)
-
-    a = np.zeros((2, 2), dtype=complex)
-    a[0, 1] = a[1, 0] = 0.7
-    g2 = GaussianCoefficients(a, np.zeros(2))
-    flipped = rescale(g2, 1.0j)
-    assert flipped.a[0, 1] == pytest.approx(-0.7)
-
-
-def test_rescale_evaluation_identity():
-    g = random_gaussian(5, 61)
-    rng = np.random.default_rng(62)
-    for _ in range(8):
-        lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        if lam == 0:
-            continue
-        u = random_points(5, 1, int(rng.integers(1 << 30)))[0]
-        assert evaluate(rescale(g, lam), u) == pytest.approx(
-            evaluate(g, lam * u), rel=1e-12)
-
-
-def test_rescale_composition():
-    g = random_gaussian(4, 71)
-    lam, mu = 0.5 - 0.25j, -1.5 + 2.0j
-    double = rescale(rescale(g, lam), mu)
-    direct = rescale(g, lam * mu)
-    assert np.allclose(double.a, direct.a, rtol=1e-14)
-    assert np.allclose(double.b, direct.b, rtol=1e-14)
-    assert double.c == direct.c
-
-
-def test_rescale_zero_rejected():
-    with pytest.raises(ValueError):
-        rescale(random_gaussian(2, 81), 0.0)
 
 
 def test_polynomial_subtraction_and_value():

@@ -113,6 +113,14 @@ def test_under_resolved_grid_raises():
         feynman_kernel_quadrature(1.0, 0.0, 1e-3, 200.0, n_points=1000)
 
 
+def test_eps_below_double_resolution_at_the_pole_raises():
+    # ulp(30^2) = 1.1e-13: the pole half-width eps / 60 rounds away and the
+    # unguarded mesh returned Im -0.0349 against the closed form's -0.00257
+    for eps in (1e-14, 1e-13):
+        with pytest.raises(PoleResolutionError, match="ulp"):
+            feynman_kernel_quadrature(30.0, 1.0, eps, 3e3)
+
+
 def test_node_count_grows_as_log_of_inverse_eps():
     # eps = 1e-8 grades each pole down to half-width 5e-9 in 27 doublings,
     # so 100 000 nodes suffice where a fixed fraction-of-eps spacing would

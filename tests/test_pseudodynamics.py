@@ -123,6 +123,37 @@ def test_advance_rejects_backward(ms):
         advance(st, -0.5)
 
 
+def test_advance_rejects_non_finite_dt(ms):
+    st = evolution_functional(ms, unit_random(ms, 6), 1.0)
+    for dt in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            advance(st, dt)
+
+
+@pytest.mark.parametrize("n", [2, 8, 1024])
+@pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("t", [0.0, 1.0, 1e5])
+def test_build_is_the_rescaled_z_exponent_contraction(n, hbar, t):
+    # the direct build equals the public log-Z reader read at lambda * u
+    space = build_mode_space(n, 2 * np.pi, 1.0, hbar=hbar)
+    calib = calibrate(space)
+    v = unit_random(space, 7)
+    got = evolution_functional(space, v, t, calib).coeffs
+    ref = z_exponent(space, t).gaussian_in_u(v)
+    lam = complex(calib.lambda_)
+    assert np.array_equal(got.a_pair, lam * lam * ref.a_pair)
+    assert np.array_equal(got.b, lam * ref.b)
+    assert got.c == ref.c
+
+
+def test_build_refuses_non_finite_coefficients():
+    # at h = 1e-320 the prefactor -i/(2h) overflows
+    tiny = build_mode_space(4, 2 * np.pi, 1.0, hbar=1e-320)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            evolution_functional(tiny, ModeVector.zeros(tiny), 1.0)
+
+
 def test_calibration_validation():
     with pytest.raises(ValueError):
         ConventionCalibration(lambda_=0.0)
