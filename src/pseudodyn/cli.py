@@ -309,6 +309,8 @@ def _cmd_oracle_qm(cfg: RunConfig) -> int:
 
 def _cmd_sweep(cfg: RunConfig) -> int:
     _inputs(cfg)   # refused as for every command; the sweep runs its own lattices
+    for name in ("sweep_modes", "sweep_masses", "sweep_times"):
+        _checked(name, lambda: _require(len(getattr(cfg, name)) > 0, "must not be empty"))
     lattices = _checked("sweep_modes, sweep_masses", lambda: [
         _lattice(cfg, int(n), float(m))
         for n in cfg.sweep_modes for m in cfg.sweep_masses])

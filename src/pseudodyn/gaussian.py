@@ -131,19 +131,6 @@ class PairCoefficients:
         a.setflags(write=False)
         return a
 
-    @classmethod
-    def from_dense(cls, g: GaussianCoefficients,
-                   negation: np.ndarray) -> "PairCoefficients":
-        """Pair form of g; raises ValueError if A has an entry off the pairings."""
-        if g.dim != len(negation):
-            raise ValueError(f"A is {g.dim} x {g.dim}, expected {len(negation)} modes")
-        rows = np.arange(g.dim)
-        off = g.a.copy()
-        off[rows, negation] = 0.0
-        if np.any(off != 0.0):
-            raise ValueError("A has entries off the (k, -k) pairings")
-        return cls(g.a[rows, negation], g.b, g.c, negation)
-
 
 @dataclass(frozen=True)
 class QuadraticPolynomial:

@@ -129,9 +129,8 @@ class ModeVector:
         return cls(space, vals)
 
     @classmethod
-    def random(cls, space: ModeSpace, rng: np.random.Generator,
-               scale: float = 1.0) -> "ModeVector":
-        """Amplitudes with real and imaginary parts uniform in [-scale, scale]."""
+    def random(cls, space: ModeSpace, rng: np.random.Generator) -> "ModeVector":
+        """Amplitudes with real and imaginary parts uniform in [-1, 1]."""
         n = space.num_modes
-        raw = rng.uniform(-scale, scale, n) + 1j * rng.uniform(-scale, scale, n)
+        raw = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
         return cls(space, raw)

@@ -2,23 +2,24 @@
 
 The kernel is fixed as
 
-    D(tau; omega) = (1/2pi) * integral dE e^{sigma*i*E*tau} / (E^2 - omega^2 + i*eps),
+    D(tau; omega) = (1/2pi) * integral dE e^{i*E*tau} / (E^2 - omega^2 + i*eps),
 
 in the limit eps -> 0+, which contour evaluation gives as
 
-    D(tau; omega) = -(i / (2 omega)) * e^{-i omega |tau|},
+    D(tau; omega) = -(i / (2 omega)) * e^{-i omega |tau|}.
 
-independent of the transform sign sigma in {+1, -1}.  The quadrature path
-evaluates the regularized integral by composite Gauss-Legendre quadrature
-with one panel centred on each pole E = +/-omega, eps/(2 omega) off the
-real axis; every other panel is no longer than its distance to the nearer
-pole nor than two periods of e^{i tau E}.  Each panel then converges
-geometrically (the pole lies outside a Bernstein ellipse of fixed size;
-Trefethen, SIAM Review 50, 2008), and the node count grows as log(1/eps)
-plus log(e_cut) at tau = 0 or e_cut |tau| / (4 pi).  It exists only to
-check the closed form; the closed form never takes eps as an argument.
-sigma is therefore an argument of the quadrature oracle alone, the one
-place it enters an integrand.  The 1/(2pi) normalization is fixed.
+The denominator is even in E, so E -> -E turns e^{iE tau} into e^{-iE tau}:
+the integral is (1/2pi) int_0^inf 2 cos(E tau) / (E^2 - omega^2 + i eps) dE,
+the same for either transform sign, and no sign is an argument anywhere.
+The quadrature path evaluates that half-line integral by composite
+Gauss-Legendre quadrature with one panel centred on the pole E = omega,
+eps/(2 omega) off the real axis; every other panel is no longer than its
+distance to the pole nor than two periods of cos(E tau).  Each panel then
+converges geometrically (the pole lies outside a Bernstein ellipse of fixed
+size; Trefethen, SIAM Review 50, 2008), and the node count grows as
+log(1/eps) plus log(e_cut) at tau = 0 or e_cut |tau| / (4 pi).  It exists
+only to check the closed form; the closed form never takes eps as an
+argument.  The 1/(2pi) normalization is fixed.
 """
 
 from __future__ import annotations
@@ -113,29 +114,25 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
 
 
 def feynman_kernel_quadrature(omega: float, tau: float, eps: float, e_cut: float,
-                              n_points: int = 2_000_000,
-                              sigma: int = 1) -> complex:
+                              n_points: int = 2_000_000) -> complex:
     """Composite Gauss-Legendre estimate of the regularized kernel at finite
     eps and e_cut.
 
-    sigma in {+1, -1} is the sign of the energy transform e^{sigma i E tau}.
-
-    The poles sit d = eps/(2 omega) off the real axis at E = +/-omega.  The
-    mesh on [0, e_cut] is mirrored to [-e_cut, 0].  A panel of half-width d
-    is centred on the pole; every other panel is no longer than its distance
-    to the pole nor than cap = 4 pi/|tau| (no cap at tau = 0).  So [0, e_cut]
-    holds about log2(omega/d) + log2(min(e_cut, cap)/d) panels doubling in
-    length and e_cut/cap uniform ones, 20 nodes each.
+    The integrand is even in E, so [-e_cut, e_cut] folds onto [0, e_cut] as
+    2 cos(E tau) / (E^2 - omega^2 + i eps), and tau enters through |tau|.
+    The pole sits d = eps/(2 omega) off the real axis at E = omega.  A panel
+    of half-width d is centred on it; every other panel is no longer than
+    its distance to the pole nor than cap = 4 pi/|tau| (no cap at tau = 0).
+    So [0, e_cut] holds about log2(omega/d) + log2(min(e_cut, cap)/d) panels
+    doubling in length and e_cut/cap uniform ones, 20 nodes each.
 
     n_points is the caller's node budget.  The mesh's node count is worked
     out from its panel counts before any array is built; if it exceeds the
     budget, a PoleResolutionError is raised instead of returning an
     under-resolved value; so is ulp(omega^2) > 1e-6 eps, where rounding of
-    E^2 - omega^2 at the pole rivals eps.  Truncation at +/-e_cut is part of
+    E^2 - omega^2 at the pole rivals eps.  Truncation at e_cut is part of
     the definition here; see truncation_tail for the leftover.
     """
-    if sigma not in (1, -1):
-        raise ValueError(f"sigma must be +1 or -1, got {sigma}")
     if not 0 < omega < np.inf:
         raise ValueError(f"omega must be finite and strictly positive, got {omega}")
     if not np.isfinite(tau):
@@ -155,29 +152,28 @@ def feynman_kernel_quadrature(omega: float, tau: float, eps: float, e_cut: float
     grown = [min(math.ceil(math.log2(end / inner)), reach) for end in ends]
     capped = [math.ceil((end - min(inner * 2.0 ** g, end)) / cap)
               for end, g in zip(ends, grown)]
-    required = 2 * _PANEL_NODES * (1 + sum(grown) + sum(capped))
+    required = _PANEL_NODES * (1 + sum(grown) + sum(capped))
     if n_points < required:
         raise PoleResolutionError(
             f"node budget {n_points} is below the {required} nodes of the panel "
-            f"mesh on [-{e_cut:g}, {e_cut:g}] graded to half-width {inner:g} "
-            f"at E = +/-{omega:g}"
+            f"mesh on [0, {e_cut:g}] graded to half-width {inner:g} at E = {omega:g}"
         )
-    # edges as distances from the pole at E = omega, then on [-e_cut, e_cut]
+    # edges as distances from the pole, then on [0, e_cut]
     below, above = (np.append(np.minimum(inner * 2.0 ** np.arange(g + 1), end),
                               np.linspace(inner * 2.0 ** g, end, c + 1)[1:])
                     for end, g, c in zip(ends, grown, capped))
-    half_edges = np.concatenate([omega - below[::-1], omega + above])
-    half_edges[[0, -1]] = 0.0, e_cut
-    edges = np.concatenate([-half_edges[:0:-1], half_edges])
+    edges = np.concatenate([omega - below[::-1], omega + above])
+    edges[[0, -1]] = 0.0, e_cut
     x, w = _gauss_legendre()
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = mid[:, None] + half[:, None] * x
     weights = half[:, None] * w
-    f = np.exp(1j * sigma * tau * nodes) / (nodes * nodes - omega * omega + 1j * eps)
-    # a plain weighted sum: a BLAS dot of this length runs threaded, and
-    # OpenBLAS leaves its worker spinning on a core after it returns
-    return complex((f * weights).sum() / (2.0 * np.pi))
+    f = np.cos(abs(tau) * nodes) / (nodes * nodes - omega * omega + 1j * eps)
+    # the factor 2 of the fold cancels against the 1/(2pi); a plain weighted
+    # sum: a BLAS dot of this length runs threaded, and OpenBLAS leaves its
+    # worker spinning on a core after it returns
+    return complex((f * weights).sum() / np.pi)
 
 
 # below this argument h(x) comes from the power series of E1, above it from
@@ -250,23 +246,20 @@ def truncation_tail(omega: float, tau: float, e_cut: float) -> complex:
 
 def richardson_kernel(omega: float, tau: float,
                       eps_values=(1e-2, 1e-3, 1e-4),
-                      e_cut: float | None = None,
-                      n_points: int = 4_000_000,
-                      sigma: int = 1) -> complex:
+                      e_cut: float | None = None) -> complex:
     """Extrapolate the quadrature kernel to eps -> 0.
 
     Polynomial (Richardson) extrapolation in eps of the panel quadrature
     values, plus the eps-independent truncation tail, which is always added:
-    without it the accuracy floors at ~2*omega/(pi*e_cut) relative.
-    n_points is the node budget of each quadrature call.
+    without it the accuracy floors at ~2*omega/(pi*e_cut) relative.  Each
+    quadrature call has the default node budget.
     """
     eps_values = sorted(set(float(e) for e in eps_values), reverse=True)
     if len(eps_values) < 2:
         raise ValueError("need at least two eps values to extrapolate")
     if e_cut is None:
         e_cut = 1e3 * omega
-    vals = [feynman_kernel_quadrature(omega, tau, e, e_cut, n_points, sigma)
-            for e in eps_values]
+    vals = [feynman_kernel_quadrature(omega, tau, e, e_cut) for e in eps_values]
     # Lagrange extrapolation to eps = 0
     out = 0.0 + 0.0j
     for i, (ei, vi) in enumerate(zip(eps_values, vals)):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import GaussianCoefficients, PairCoefficients
+from .gaussian import PairCoefficients
 from .modespace import ModeSpace, ModeVector
 from .sources import contract_v, exponent_coefficients, z_exponent
 
@@ -69,22 +69,14 @@ class ConventionCalibration:
 
 @dataclass(frozen=True)
 class EvolutionState:
-    """Gaussian coefficients of Phi(T, .) together with their provenance.
-
-    coeffs is held in pair form.  A dense GaussianCoefficients is accepted
-    and converted; its A must vanish off the (k, -k) pairings (ValueError).
-    """
+    """Gaussian coefficients of Phi(T, .), in pair form, together with
+    their provenance."""
 
     space: ModeSpace
     t: float
     v_hat: ModeVector
     coeffs: PairCoefficients
     calibration: ConventionCalibration
-
-    def __post_init__(self):
-        if isinstance(self.coeffs, GaussianCoefficients):
-            object.__setattr__(self, "coeffs", PairCoefficients.from_dense(
-                self.coeffs, self.space.negation))
 
 
 def evolution_functional(space: ModeSpace, v_hat: ModeVector, t: float,

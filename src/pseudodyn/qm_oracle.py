@@ -25,6 +25,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -166,12 +167,15 @@ def _check_edges(rows: np.ndarray, where: str):
 
 
 def checked_drive(drive, span: float, dt: float) -> np.ndarray:
-    """The drive as a float array, refused unless it is 1D with >= 2 uniform
-    samples over a window of positive length span, spaced no finer than
-    the solver step dt (the solver reads one drive value per step)."""
+    """The drive as a float array, refused unless it is 1D with >= 2 finite
+    uniform samples over a window of positive length span, spaced no finer
+    than the solver step dt (the solver reads one drive value per step)."""
     drive = np.asarray(drive, dtype=float)
     if drive.ndim != 1 or drive.size < 2:
         raise ValueError("drive must be a 1D array with >= 2 samples")
+    bad = np.flatnonzero(~np.isfinite(drive))
+    if bad.size:
+        raise ValueError(f"drive sample {bad[0]} is {drive[bad[0]]}, not finite")
     if not span > 0:
         raise ValueError(f"drive window must have positive length, got {span:g}")
     sample_step = span / (drive.size - 1)
@@ -367,8 +371,13 @@ def cross_coefficient_solver(grid: QMGrid, boundary: BoundaryFactors,
 
 
 def qm_drive_from_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Load a scalar drive from CSV columns (t, value); times must be uniform."""
-    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    """Load a scalar drive from CSV columns (t, value) below one header line;
+    times must be uniform."""
+    rows = Path(path).read_text().splitlines()[1:]
+    # loadtxt only warns on a file without data, and reads "#" as a comment
+    if not any(row.split("#", 1)[0].strip() for row in rows):
+        raise ValueError("drive CSV has no samples below its header")
+    raw = np.loadtxt(rows, delimiter=",", ndmin=2)
     if raw.shape[1] != 2:
         raise ValueError("drive CSV must have columns t, value")
     t = raw[:, 0]

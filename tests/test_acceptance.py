@@ -8,13 +8,14 @@ import time
 import numpy as np
 
 from pseudodyn import (BoundaryFactors, GaussianCoefficients, EvolutionState,
-                       ModeVector, QMGrid, advance, build_mode_space,
-                       calibrate, compare_kernels, cross_coefficient_solver,
-                       evolution_functional, feynman_kernel_closed,
-                       feynman_kernel_quadrature, first_order_residual,
-                       gradient_check, kernel_matrix_genfunc,
-                       kernel_matrix_solver, richardson_kernel,
-                       schrodinger_residual, semigroup_check)
+                       ModeVector, PairCoefficients, QMGrid, advance,
+                       build_mode_space, calibrate, compare_kernels,
+                       cross_coefficient_solver, evolution_functional,
+                       feynman_kernel_closed, feynman_kernel_quadrature,
+                       first_order_residual, gradient_check,
+                       kernel_matrix_genfunc, kernel_matrix_solver,
+                       richardson_kernel, schrodinger_residual,
+                       semigroup_check)
 
 GRID_MODES = (2, 8, 16, 64)
 GRID_MASSES = (0.5, 1.0, 2.0)
@@ -183,14 +184,13 @@ def test_criterion_8_negative_controls():
     layer = unit_random_layer(space, 99)
     state = evolution_functional(space, layer, 1.0, calibration=calib)
 
-    # (a) perturb one A pairing by 1e-3
-    a = state.coeffs.a.copy()
+    # (a) perturb one A pairing, A_{k,-k} and A_{-k,k}, by 1e-3
+    g = state.coeffs
+    a_pair = g.a_pair.copy()
     pos = space.index_of(3)
-    a[pos, space.negation[pos]] += 1e-3
-    a[space.negation[pos], pos] = a[pos, space.negation[pos]]
+    a_pair[[pos, space.negation[pos]]] += 1e-3
     broken = EvolutionState(space, state.t, state.v_hat,
-                            GaussianCoefficients(a, state.coeffs.b,
-                                                 state.coeffs.c),
+                            PairCoefficients(a_pair, g.b, g.c, g.negation),
                             state.calibration)
     ok = not first_order_residual(broken).passed
     ok &= not schrodinger_residual(broken).passed

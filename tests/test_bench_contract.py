@@ -3,8 +3,9 @@
 perfbench/spans.py wraps library functions by (module, attribute), and
 perfbench/workloads.py calls the public API as ``pd.<name>`` (the package)
 and ``reports.<name>`` (pseudodyn.reports).  Deleting or renaming any of
-them, or a keyword the workloads pass, would break the benchmark without
-failing a library test.  This module only reads perfbench/.
+them, a keyword the workloads pass, or a parameter they fill by position,
+would break the benchmark without failing a library test.  This module only
+reads perfbench/.
 """
 
 import ast
@@ -34,19 +35,27 @@ def _resolve(obj, dotted):
     return obj
 
 
+def _bound_name(node):
+    """(module alias, dotted attribute) of an attribute chain on a bound
+    module, such as ("pd", "ModeVector.basis"), else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if parts and isinstance(node, ast.Name) and node.id in BOUND:
+        return node.id, ".".join(reversed(parts))
+    return None
+
+
 def _workload_calls():
-    """(module alias, attribute, keyword names) of every bound-module use."""
+    """(module alias, dotted attribute, call or None) of every bound-module use."""
     tree = ast.parse((PERFBENCH / "workloads.py").read_text())
     uses = []
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id in BOUND):
-            uses.append((node.value.id, node.attr, ()))
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id in BOUND):
-            uses.append((node.func.value.id, node.func.attr,
-                         tuple(k.arg for k in node.keywords if k.arg)))
+        if isinstance(node, ast.Attribute) and _bound_name(node):
+            uses.append(_bound_name(node) + (None,))
+        if isinstance(node, ast.Call) and _bound_name(node.func):
+            uses.append(_bound_name(node.func) + (node,))
     return uses
 
 
@@ -59,13 +68,23 @@ def test_span_targets_resolve():
 
 
 def test_workload_names_and_keywords_resolve():
+    # every call binds to the signature: its positional count as well as
+    # its keywords, so deleting a parameter the workloads fill by position
+    # fails here too
     uses = _workload_calls()
     assert uses
-    for alias, name, keywords in uses:
-        assert hasattr(BOUND[alias], name), f"{alias}.{name}"
-        params = inspect.signature(getattr(BOUND[alias], name)).parameters
-        for kw in keywords:
-            assert kw in params, f"{alias}.{name}(... {kw}=...)"
+    for alias, name, call in uses:
+        target = _resolve(BOUND[alias], name)
+        if call is None:
+            continue
+        assert not any(isinstance(a, ast.Starred) for a in call.args), name
+        assert all(k.arg for k in call.keywords), name
+        positional = [None] * len(call.args)
+        keywords = {k.arg: None for k in call.keywords}
+        try:
+            inspect.signature(target).bind(*positional, **keywords)
+        except TypeError as err:
+            raise AssertionError(f"{alias}.{name}: {err}") from None
 
 
 def test_span_hook_arguments_exist():

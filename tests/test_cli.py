@@ -61,6 +61,8 @@ def test_semigroup_command(tmp_path):
     assert report["params"]["t"] == 3.0
 
 
+DATA = Path(__file__).with_name("data")
+
 # (command, flags, config or None); each must be refused.  A config given
 # as a str is the file's raw text, anything else is written as JSON
 BAD_INPUTS = [
@@ -106,6 +108,14 @@ BAD_INPUTS = [
     ("calibrate", [], "null"),
     ("calibrate", [], "[1, 2]"),
     ("calibrate", [], '"modes"'),
+    # drives with a non-finite sample, and one with no samples at all
+    ("oracle-qm", ["--drive-file", str(DATA / "drive_nan.csv")], None),
+    ("oracle-qm", ["--drive-file", str(DATA / "drive_inf.csv")], None),
+    ("oracle-qm", ["--drive-file", str(DATA / "drive_header_only.csv")], None),
+    # an empty sweep axis checks nothing
+    ("sweep", [], {"sweep_modes": []}),
+    ("sweep", [], {"sweep_masses": []}),
+    ("sweep", [], {"sweep_times": []}),
 ]
 
 

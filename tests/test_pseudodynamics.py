@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from pseudodyn import (ConventionCalibration, EvolutionState,
-                       GaussianCoefficients, ModeVector, advance,
+from pseudodyn import (ConventionCalibration, ModeVector, advance,
                        build_mode_space, calibrate, evolution_functional,
                        z_exponent)
 
@@ -157,17 +156,3 @@ def test_build_refuses_non_finite_coefficients():
 def test_calibration_validation():
     with pytest.raises(ValueError):
         ConventionCalibration(lambda_=0.0)
-
-
-
-def test_state_rejects_a_off_the_pairings(ms):
-    st = evolution_functional(ms, unit_random(ms, 5), 1.0)
-    a = st.coeffs.a.copy()
-    assert ms.negation[0] != 1
-    a[0, 1] = a[1, 0] = 1e-3
-    dense = GaussianCoefficients(a, st.coeffs.b, st.coeffs.c)
-    with pytest.raises(ValueError, match="off the"):
-        EvolutionState(ms, st.t, st.v_hat, dense, st.calibration)
-    paired = GaussianCoefficients(st.coeffs.a, st.coeffs.b, st.coeffs.c)
-    kept = EvolutionState(ms, st.t, st.v_hat, paired, st.calibration)
-    assert np.array_equal(kept.coeffs.a_pair, st.coeffs.a_pair)

@@ -133,6 +133,17 @@ def test_single_sample_drive_rejected(grid, vacuum):
             kernel_matrix_genfunc([0.5], [0.5], 1.0, 1.0, 0.0, 1.0, drive)
 
 
+def test_non_finite_drive_rejected(grid, vacuum):
+    # both sides refuse the drive, never returning NaNs
+    for bad in (np.nan, np.inf, -np.inf):
+        drive = np.sin(np.linspace(0.0, 1.0, 11))
+        drive[3] = bad
+        with pytest.raises(ValueError, match="sample 3 .* not finite"):
+            propagate_driven(vacuum.astype(complex), grid, 0.0, 1.0, drive)
+        with pytest.raises(ValueError, match="sample 3 .* not finite"):
+            kernel_matrix_genfunc([0.5], [0.5], 1.0, 1.0, 0.0, 1.0, drive)
+
+
 def test_backwards_window_refused_on_both_sides(grid, boundary):
     # the kernel's |tau| would fold [1, 0] onto [0, 1] on the
     # generating-functional side; both sides refuse it instead

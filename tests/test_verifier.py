@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import pseudodyn.verifier as verifier
 from pseudodyn import (GaussianCoefficients, EvolutionState, ModeVector,
-                       apply_first_order, apply_second_order,
+                       PairCoefficients, apply_first_order, apply_second_order,
                        build_mode_space, calibrate, evaluate,
                        evolution_functional, first_order_residual,
                        gradient_check, log_evaluate,
@@ -24,12 +24,13 @@ def state():
 
 
 def perturbed(state, k_pos, delta):
-    a = state.coeffs.a.copy()
-    neg = state.space.negation
-    a[k_pos, neg[k_pos]] += delta
-    a[neg[k_pos], k_pos] = a[k_pos, neg[k_pos]]
-    g = GaussianCoefficients(a, state.coeffs.b, state.coeffs.c)
-    return EvolutionState(state.space, state.t, state.v_hat, g, state.calibration)
+    """state with delta added to A_{k,-k} and A_{-k,k}, the pairing of k_pos."""
+    g = state.coeffs
+    a_pair = g.a_pair.copy()
+    a_pair[[k_pos, g.negation[k_pos]]] += delta
+    return EvolutionState(state.space, state.t, state.v_hat,
+                          PairCoefficients(a_pair, g.b, g.c, g.negation),
+                          state.calibration)
 
 
 def test_first_order_passes_calibrated(state):
