@@ -112,7 +112,8 @@ def _inputs(cfg: RunConfig):
     initial layer and the seeded generator, after the tolerances and time."""
     for name in ("tol_coeff", "tol_numeric", "tol_schrodinger", "tol_spread",
                  "tol_kernel_coincident", "tol_kernel_gap", "tol_bridge"):
-        _checked(name, lambda: _require(getattr(cfg, name) > 0, "must be positive"))
+        _checked(name, lambda: _require(0 < getattr(cfg, name) < np.inf,
+                                        "must be finite and positive"))
     _checked("time", lambda: _require(cfg.time is None or cfg.time >= 0,
                                       f"must be nonnegative, got {cfg.time}"))
     rng = _checked("seed", lambda: np.random.default_rng(cfg.seed))
@@ -312,13 +313,12 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     for name in ("sweep_modes", "sweep_masses", "sweep_times"):
         _checked(name, lambda: _require(len(getattr(cfg, name)) > 0, "must not be empty"))
     lattices = _checked("sweep_modes, sweep_masses", lambda: [
-        _lattice(cfg, int(n), float(m))
-        for n in cfg.sweep_modes for m in cfg.sweep_masses])
+        _lattice(cfg, n, m) for n in cfg.sweep_modes for m in cfg.sweep_masses])
     states = []
     for space, calib in lattices:
         v_hat = _checked("v_spec, seed, sweep_modes", lambda: _initial_layer(cfg, space))
         states += _checked("sweep_times", lambda: [
-            evolution_functional(space, v_hat, float(t), calibration=calib)
+            evolution_functional(space, v_hat, t, calibration=calib)
             for t in cfg.sweep_times])
     out_dir = _out_dir(cfg)
 

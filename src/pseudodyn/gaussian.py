@@ -20,8 +20,10 @@ a_k = A_{k,-k} per mode together with the negation permutation, so that
 
     S(u) = sum_k a_k u_k u_{-k}  +  b.u  +  c
 
-costs O(N).  The dense A is built only when a caller reads ``.a``; the dense
-GaussianCoefficients and the operators above stay the generic reference.
+costs O(N).  Its builders hand over a_pair with a_k = a_{-k} already exact,
+so it is not re-symmetrized.  The dense A is built only when a caller reads
+``.a``; the dense GaussianCoefficients and the operators above stay the
+generic reference.
 """
 
 from __future__ import annotations
@@ -94,9 +96,9 @@ class GaussianCoefficients:
 class PairCoefficients:
     """Exponent data (A, b, c) with A_{k,-k} = a_pair[k] and A zero elsewhere.
 
-    ``negation`` is the position permutation k -> -k.  a_pair is symmetrized
-    over each pair at construction (a_k = a_{-k}), the per-mode image of the
-    exact symmetrization of GaussianCoefficients.
+    ``negation`` is the position permutation k -> -k.  The builders hand over
+    fresh arrays with a_k = a_{-k} exact (the per-mode image of the symmetry
+    of A); they are made read-only, not copied or re-symmetrized.
     """
 
     a_pair: np.ndarray
@@ -107,11 +109,10 @@ class PairCoefficients:
     def __post_init__(self):
         neg = np.asarray(self.negation)
         a = np.asarray(self.a_pair, dtype=complex)
-        b = np.asarray(self.b, dtype=complex).copy()
+        b = np.asarray(self.b, dtype=complex)
         if neg.ndim != 1 or a.shape != neg.shape or b.shape != neg.shape:
             raise ValueError(f"a_pair {a.shape}, b {b.shape} and negation "
                              f"{neg.shape} must be equal 1-D shapes")
-        a = 0.5 * (a + a[neg])
         for arr in (a, b):
             arr.setflags(write=False)
         object.__setattr__(self, "a_pair", a)

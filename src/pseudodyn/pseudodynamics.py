@@ -10,7 +10,8 @@ whose coefficients obey two exact laws: A is independent of T with
 A_{k,-k} * omega_k constant across modes, and b_k(T) = b_k(0) e^{-i omega_k T}.
 Advancing T is therefore a pure phase rotation of b (a semigroup).
 States carry the exponent in pair form (gaussian.PairCoefficients, one
-a_k = A_{k,-k} per mode), so building and advancing a state costs O(N).
+a_k = A_{k,-k} per mode), so building and advancing a state costs O(N); no
+step copies, re-checks or re-symmetrizes the sources.ZExponent it reads.
 
 The raw kernel normalization does not satisfy the target first-order
 evolution equation
@@ -84,11 +85,10 @@ def evolution_functional(space: ModeSpace, v_hat: ModeVector, t: float,
     """Build Phi(T, .) from the initial layer data v at T0 = 0.
 
     It is z_exponent(space, T).gaussian_in_u(v_hat) read at lambda u, built by
-    one sources.contract_v.  Negative T is rejected: the kernel's |tau| would
-    fold it onto +|T|, and the two boundary weights are not orientation-symmetric.
+    one sources.contract_v.  Negative T is rejected by the window-order rule
+    of sources.exponent_coefficients: the kernel's |tau| would fold it onto
+    +|T|, and the two boundary weights are not orientation-symmetric.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0; backward construction is not supported")
     if calibration is None:
         calibration = ConventionCalibration(lambda_=1.0,
                                             c2=-1.0 / (2.0 * space.hbar))
@@ -99,7 +99,8 @@ def evolution_functional(space: ModeSpace, v_hat: ModeVector, t: float,
 
 
 def advance(state: EvolutionState, dt: float) -> EvolutionState:
-    """Rotate b by e^{-i omega dt}; A and c are exact invariants of T."""
+    """Rotate b by e^{-i omega dt}; A and c are exact invariants of T, so
+    the new state shares the read-only a_pair of the old one."""
     if not 0 <= dt < np.inf:  # NaN fails both comparisons
         raise ValueError(f"dt must be finite and >= 0, got {dt}")
     g = state.coeffs

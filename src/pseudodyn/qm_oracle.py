@@ -357,8 +357,7 @@ def compare_kernels(lhs: np.ndarray, rhs: np.ndarray, tol_spread: float,
 
 def cross_coefficient_solver(grid: QMGrid, boundary: BoundaryFactors,
                              p0: float, p: float, t_initial: float,
-                             t_final: float,
-                             drive: np.ndarray | None = None) -> complex:
+                             t_final: float) -> complex:
     """The p0-p cross term of log M measured from the solver.
 
     The 2x2 log combination cancels every p-independent factor and both
@@ -366,7 +365,7 @@ def cross_coefficient_solver(grid: QMGrid, boundary: BoundaryFactors,
     e^{-i omega (T - T0)}.
     """
     m = kernel_matrix_solver(grid, boundary, [0.0, p0], [0.0, p],
-                             t_initial, t_final, drive)
+                             t_initial, t_final)
     return complex(np.log((m[1, 1] * m[0, 0]) / (m[1, 0] * m[0, 1])))
 
 

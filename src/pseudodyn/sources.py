@@ -9,8 +9,8 @@ generating functional, the log of Z factorizes over modes into
 
     S = (-i/2h) sum_k  int dt dt' j_k(t) D(t - t'; omega_k) j_{-k}(t')
 
-with D the closed-form Feynman kernel.  ZExponent stores the per-mode
-coefficients of that quadratic form in the canonical layout
+with D the closed-form Feynman kernel.  ZExponent is the record of the
+per-mode coefficients of that quadratic form in the canonical layout
 
     S = sum_k [ uu_k (u_k u_{-k} + v_k v_{-k}) + uv_k (u_k v_{-k} + v_k u_{-k})
                 + lu_k u_k + lv_k v_k ] + const,
@@ -23,14 +23,15 @@ layers enter only when the exponent is read as a Gaussian in u with v
 contracted (contract_v: ZExponent.gaussian_in_u and the state build).
 Delta-delta terms are exact; delta-drive and drive-drive terms use
 trapezoid quadrature on the drive samples, spread evenly over the window.
-exponent_coefficients is the one place these coefficients are computed:
-z_exponent calls it with the lattice frequencies, and the oscillator oracle
-with a single frequency.
+exponent_coefficients is the one place these coefficients are computed and
+checked, and it returns the ZExponent that every reader takes as is:
+z_exponent, the state build and calibration in pseudodynamics, and the
+one-frequency oscillator oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,9 +43,9 @@ from .propagator import (feynman_kernel_closed, kernel_double_trapezoid,
 __all__ = ["ZExponent", "contract_v", "exponent_coefficients", "z_exponent"]
 
 
-@dataclass(frozen=True)
-class ZExponent:
-    """Per-mode coefficients of log Z for a composite source.
+class ZExponent(NamedTuple):
+    """Per-mode coefficients of log Z for a composite source, as
+    exponent_coefficients returns them.
 
     With no drive, uv_k / uu_k has unit modulus for every mode and its phase
     evolves as e^{-i omega_k (T - T0)}; that ratio is the convention-free
@@ -52,33 +53,21 @@ class ZExponent:
     and absorbed by the calibration step).
     """
 
-    space: ModeSpace
     uu: np.ndarray
     uv: np.ndarray
     lin_u: np.ndarray
     lin_v: np.ndarray
-    const: complex = 0.0
-
-    def __post_init__(self):
-        for name in ("uu", "uv", "lin_u", "lin_v"):
-            arr = np.asarray(getattr(self, name), dtype=complex).copy()
-            if arr.shape != (self.space.num_modes,):
-                raise ValueError(f"{name} must have one entry per mode")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} has non-finite entries")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "const", complex(self.const))
+    const: complex
 
     def gaussian_in_u(self, v_hat: ModeVector) -> PairCoefficients:
         """The exponent as a Gaussian in u with the v layer contracted."""
-        return contract_v((self.uu, self.uv, self.lin_u, self.lin_v, self.const),
-                          v_hat.values, self.space.negation)
+        return contract_v(self, v_hat.values, v_hat.space.negation)
 
 
 def contract_v(coefficients, v, negation, lam=1.0) -> PairCoefficients:
-    """The exponent (uu, uv, lin_u, lin_v, const) with v contracted, read at
-    lam * u: pairings a = lam^2 uu, b = lam (2 uv v_{-k} + lin_u), and c."""
+    """The exponent (a ZExponent) with v contracted, read at lam * u:
+    pairings a = lam^2 uu, b = lam (2 uv v_{-k} + lin_u), and c, in fresh
+    arrays.  a_k = a_{-k} exactly: uu_k depends on omega_k = omega_{-k} alone."""
     uu, uv, lin_u, lin_v, const = coefficients
     v_neg = v[negation]
     b = 2.0 * uv * v_neg + lin_u
@@ -87,8 +76,8 @@ def contract_v(coefficients, v, negation, lam=1.0) -> PairCoefficients:
 
 
 def exponent_coefficients(omegas, negation, hbar: float, t_initial: float,
-                          t_final: float, drive=None):
-    """Per-mode coefficients (uu, uv, lin_u, lin_v, const) of log Z.
+                          t_final: float, drive=None) -> ZExponent:
+    """Per-mode coefficients of log Z, the one place they are computed.
 
     The source is u delta(t - t_final) - v delta(t - t_initial) plus the
     optional drive, given as (n, num_modes) samples spread evenly over
@@ -97,7 +86,7 @@ def exponent_coefficients(omegas, negation, hbar: float, t_initial: float,
     Delta-delta terms are exact; delta-drive and drive-drive terms are
     trapezoid sums on the sample grid.  A backwards window (t_initial >
     t_final) raises ValueError: the kernel's |tau| would fold it onto the
-    forward one, and so do non-finite delta-delta terms (uu, uv).
+    forward one.  So does any non-finite coefficient.
     """
     if t_initial > t_final:
         raise ValueError(f"t_initial={t_initial} must not exceed t_final={t_final}")
@@ -110,14 +99,17 @@ def exponent_coefficients(omegas, negation, hbar: float, t_initial: float,
     uu, uv = delta_delta
     if drive is None:
         zero = np.zeros(len(omegas), dtype=complex)
-        return uu, uv, zero, zero, 0.0j
+        return ZExponent(uu, uv, zero, zero, 0.0j)
     times = np.linspace(t_initial, t_final, drive.shape[0])
     step = times[1] - times[0]
     i_final = kernel_trapezoid(drive, t_final, times, step, omegas)
     i_initial = kernel_trapezoid(drive, t_initial, times, step, omegas)
     dd = kernel_double_trapezoid(drive, drive[:, negation], times, step, omegas)
-    return (uu, uv, 2.0 * pref * i_final[negation],
-            -2.0 * pref * i_initial[negation], pref * complex(dd.sum()))
+    z = ZExponent(uu, uv, 2.0 * pref * i_final[negation],
+                  -2.0 * pref * i_initial[negation], pref * complex(dd.sum()))
+    if not all(np.isfinite(x).all() for x in z[2:]):
+        raise ValueError("lin_u, lin_v, const have non-finite entries")
+    return z
 
 
 def z_exponent(space: ModeSpace, t_final: float, t_initial: float = 0.0,
@@ -134,5 +126,5 @@ def z_exponent(space: ModeSpace, t_final: float, t_initial: float = 0.0,
         if drive.ndim != 2 or drive.shape[0] < 2 or drive.shape[1] != space.num_modes:
             raise ValueError(
                 f"drive must have shape (n >= 2, {space.num_modes}), got {drive.shape}")
-    return ZExponent(space, *exponent_coefficients(
-        space.frequencies, space.negation, space.hbar, t_initial, t_final, drive))
+    return exponent_coefficients(space.frequencies, space.negation, space.hbar,
+                                 t_initial, t_final, drive)

@@ -4,14 +4,17 @@ perfbench/spans.py wraps library functions by (module, attribute), and
 perfbench/workloads.py calls the public API as ``pd.<name>`` (the package)
 and ``reports.<name>`` (pseudodyn.reports).  Deleting or renaming any of
 them, a keyword the workloads pass, or a parameter they fill by position,
-would break the benchmark without failing a library test.  This module only
-reads perfbench/.
+would break the benchmark without failing a library test.  So would a
+change to what the workloads read from the results (``state.coeffs.b``,
+``report.tolerances``), which is why one smoke-size pass of each workload
+runs here too.  This module only reads perfbench/.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pseudodyn
@@ -21,10 +24,13 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 BOUND = {"pd": pseudodyn, "reports": reports}
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans",
-                                                  PERFBENCH / "spans.py")
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # registered first: workloads.py declares its dataclasses with
+    # postponed annotations, which dataclasses resolve through sys.modules
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -60,7 +66,7 @@ def _workload_calls():
 
 
 def test_span_targets_resolve():
-    spans = _load_spans()
+    spans = _load("spans")
     assert spans.TARGETS
     for module, attr, _ in spans.TARGETS:
         mod = importlib.import_module(f"{spans.PACKAGE}.{module}")
@@ -92,3 +98,13 @@ def test_span_hook_arguments_exist():
     assert "grid" in inspect.signature(pseudodyn.ground_state).parameters
     assert {"psi0", "grid", "t_initial", "t_final"} <= set(
         inspect.signature(pseudodyn.propagate_driven).parameters)
+
+
+def test_workload_smoke_passes_are_sound_and_pass():
+    workloads = _load("workloads")
+    assert workloads.WORKLOADS
+    for name, build in workloads.WORKLOADS.items():
+        outcomes = build(pseudodyn, reports, 3, True)()
+        assert outcomes, name
+        for outcome in outcomes:
+            assert outcome.sound and outcome.passed, (name, outcome)

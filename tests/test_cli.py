@@ -116,6 +116,14 @@ BAD_INPUTS = [
     ("sweep", [], {"sweep_modes": []}),
     ("sweep", [], {"sweep_masses": []}),
     ("sweep", [], {"sweep_times": []}),
+    # sweep entries are built as given, as modes, mass and time are
+    ("sweep", [], {"sweep_modes": [2.5]}),
+    ("sweep", [], {"sweep_modes": ["8"]}),
+    ("sweep", [], {"sweep_masses": ["1.0"]}),
+    ("sweep", [], {"sweep_times": ["1"]}),
+    # an infinite tolerance would pass any residual
+    ("verify-first-order", ["--time", "1e8", "--tol-numeric", "inf"], None),
+    ("calibrate", [], '{"tol_bridge": Infinity}'),
 ]
 
 

@@ -92,8 +92,32 @@ def test_a_pairing_support_and_constancy(ms):
 
 
 def test_negative_time_rejected(ms):
-    with pytest.raises(ValueError):
+    # refused by the window-order rule of the one exponent builder
+    with pytest.raises(ValueError, match="must not exceed"):
         evolution_functional(ms, ModeVector.zeros(ms), -0.1)
+
+
+@pytest.mark.parametrize("n", [2, 8, 16, 64])
+@pytest.mark.parametrize("mass", [0.5, 1.0, 2.0])
+def test_built_and_advanced_pairings_are_exactly_symmetric(n, mass):
+    # the criterion-2 grid: a_k = a_{-k} bit for bit, with nothing
+    # re-symmetrizing it, because omega_k = omega_{-k} exactly
+    space = build_mode_space(n, 2 * np.pi, mass)
+    calib = calibrate(space)
+    v = unit_random(space, 99)
+    for t in (0.1, 1.0, 10.0):
+        st = evolution_functional(space, v, t, calibration=calib)
+        for state in (st, advance(st, 0.37), advance(advance(st, 0.37), 1.1)):
+            a = state.coeffs.a_pair
+            assert np.array_equal(a, a[space.negation]), (n, mass, t)
+
+
+def test_advance_shares_the_read_only_pairing(ms):
+    st = evolution_functional(ms, unit_random(ms, 5), 1.0, calibrate(ms))
+    stepped = advance(st, 0.25)
+    assert stepped.coeffs.a_pair is st.coeffs.a_pair
+    assert not stepped.coeffs.a_pair.flags.writeable
+    assert not stepped.coeffs.b.flags.writeable
 
 
 def test_advance_identity_and_phase(ms):

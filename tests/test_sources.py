@@ -117,6 +117,14 @@ def test_drive_shape_rejected(ms):
             z_exponent(ms, 2.0, drive=drive)
 
 
+def test_non_finite_drive_sample_rejected(ms):
+    # exponent_coefficients refuses non-finite drive terms as it does uu, uv
+    drive = np.ones((11, ms.num_modes))
+    drive[4, 3] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        z_exponent(ms, 2.0, drive=drive)
+
+
 def test_delta_drive_integral_against_adaptive_quadrature(ms):
     # trapezoid drive integrals vs scipy adaptive quadrature of the same kernel
     t_final = 2.0
