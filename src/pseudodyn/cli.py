@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .modespace import ModeSpace, ModeVector, build_mode_space
+from .modespace import ModeSpace, ModeVector, build_mode_space, require_real
 from .pseudodynamics import advance, calibrate, evolution_functional
 from .qm_oracle import (BoundaryFactors, QMGrid, check_band, checked_drive,
                         compare_kernels, cross_coefficient_solver,
@@ -112,8 +112,10 @@ def _inputs(cfg: RunConfig):
     initial layer and the seeded generator, after the tolerances and time."""
     for name in ("tol_coeff", "tol_numeric", "tol_schrodinger", "tol_spread",
                  "tol_kernel_coincident", "tol_kernel_gap", "tol_bridge"):
+        _checked(name, lambda: require_real(name, getattr(cfg, name)))
         _checked(name, lambda: _require(0 < getattr(cfg, name) < np.inf,
                                         "must be finite and positive"))
+    _checked("time", lambda: cfg.time is None or require_real("time", cfg.time))
     _checked("time", lambda: _require(cfg.time is None or cfg.time >= 0,
                                       f"must be nonnegative, got {cfg.time}"))
     rng = _checked("seed", lambda: np.random.default_rng(cfg.seed))

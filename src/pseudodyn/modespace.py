@@ -16,10 +16,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
-__all__ = ["ModeSpace", "ModeVector", "build_mode_space"]
+__all__ = ["ModeSpace", "ModeVector", "build_mode_space", "require_real"]
+
+
+def require_real(name: str, value):
+    """Refuse a value that is not a real number, or is a bool, by its field."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise TypeError(f"{name} must be a real number (not a bool), got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -40,6 +47,8 @@ class ModeSpace:
         n = self.num_modes
         if not isinstance(n, (int, np.integer)) or n < 2 or n % 2 != 0:
             raise ValueError(f"num_modes must be a positive even integer >= 2, got {n!r}")
+        for name in ("box_length", "mass", "hbar"):
+            require_real(name, getattr(self, name))
         if not self.box_length > 0:
             raise ValueError(f"box_length must be positive, got {self.box_length}")
         if not self.mass > 0:

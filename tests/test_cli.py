@@ -103,6 +103,10 @@ BAD_INPUTS = [
     ("calibrate", [], {"box_length": 1e-300}),
     ("sweep", [], {"sweep_masses": [1e300]}),
     ("sweep", [], {"sweep_masses": [1e-200]}),
+    # fields of the wrong type: refused by their rule, not by a comparison
+    ("calibrate", [], {"mass": "1.0"}),
+    ("calibrate", [], {"tol_coeff": "1e-12"}),
+    ("calibrate", [], {"mass": True}),
     # config files that are not a JSON object
     ("calibrate", [], "5"),
     ("calibrate", [], "null"),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from pseudodyn import (GaussianCoefficients, EvolutionState, ModeVector,
                        gradient_check, log_evaluate,
                        resolve_hamiltonian_signs, schrodinger_residual,
                        semigroup_check)
-from pseudodyn.verifier import sample_mode_amplitudes
 
 
 @pytest.fixture
@@ -31,6 +32,13 @@ def perturbed(state, k_pos, delta):
     return EvolutionState(state.space, state.t, state.v_hat,
                           PairCoefficients(a_pair, g.b, g.c, g.negation),
                           state.calibration)
+
+
+def u_draws(n_modes, n_samples, seed):
+    """Complex u rows, Re and Im independently uniform in [-1, 1]."""
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(-1.0, 1.0, (n_samples, n_modes))
+            + 1j * rng.uniform(-1.0, 1.0, (n_samples, n_modes)))
 
 
 def test_first_order_passes_calibrated(state):
@@ -122,11 +130,47 @@ def test_schrodinger_passes_at_hbar_other_than_one():
             assert first_order_residual(st).passed
 
 
+def _without_seed(report):
+    record = report.to_dict()
+    del record["params"]["seed"]
+    return record
+
+
 def test_schrodinger_q0_independent_of_sample_seed(state):
     r1 = schrodinger_residual(state, seed=1)
     r2 = schrodinger_residual(state, seed=2)
-    assert r1.q0 == r2.q0
-    assert max(r1.numeric_spread, r2.numeric_spread) < 1e-9
+    assert (r1.params["seed"], r2.params["seed"]) == (1, 2)
+    assert _without_seed(r1) == _without_seed(r2)
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0, 10.0])
+def test_identity_reports_independent_of_seed(t):
+    # no u is drawn: the seed only labels the report
+    st = _calibrated(16, 0.5, 2 * np.pi, t, seed=3)
+    for check in (first_order_residual, schrodinger_residual):
+        for target in (st, perturbed(st, 2, 1e-3)):
+            reports = [_without_seed(check(target, seed=seed)) for seed in (0, 7)]
+            assert reports[0] == reports[1]
+
+
+def _residual_at(state, us):
+    """|(i h d/dT - H) Phi / Phi - Q0| at each row of us, from the pair form."""
+    ms = state.space
+    q_sign, c_sign = resolve_hamiltonian_signs(state)
+    h_q2, h_q1, _ = verifier._hamiltonian(state, q_sign, c_sign)
+    resid_q1 = ms.hbar * ms.frequencies * state.coeffs.b - h_q1
+    return np.abs((us * us[:, ms.negation]) @ -h_q2 + us @ resid_q1)
+
+
+def test_spread_bounds_every_sampled_residual(state):
+    grid = [_calibrated(n, mass, 2 * np.pi, t)
+            for n in (2, 8, 16, 64) for mass in (0.5, 1.0, 2.0)
+            for t in (0.1, 1.0, 10.0)]
+    for seed, st in enumerate(grid + [perturbed(state, 2, 1e-3)]):
+        report = schrodinger_residual(st)
+        us = u_draws(st.space.num_modes, 64, seed)
+        sampled = _residual_at(st, us) / max(1.0, abs(report.q0))
+        assert np.all(report.numeric_spread >= sampled), (seed, report.summary_line())
 
 
 def test_schrodinger_fails_on_wrong_a(state):
@@ -291,7 +335,7 @@ def test_identity_checks_pass_at_n65536():
 def test_fd_column_survives_exponent_overflow(state):
     # a 300x layer takes |Re S| of the sampled u to about 4500
     big = _scaled_layer(state, 300.0)
-    us = sample_mode_amplitudes(state.space.num_modes, 16, 0)
+    us = u_draws(state.space.num_modes, 16, 0)
     worst = max(us, key=lambda u: abs(log_evaluate(big.coeffs, u).real))
     with pytest.raises(OverflowError):
         evaluate(big.coeffs, worst)
@@ -317,3 +361,59 @@ def test_one_sided_stencil_at_t_zero(state, monkeypatch):
         assert report.passed, report.summary_line()
         dt = report.params["dt_step"]
         assert built == [dt, 2.0 * dt]
+
+
+def _rate_fault(monkeypatch, eps):
+    """Make verifier.evolution_functional rotate b_k at omega_k (1 + eps_k):
+    the state under test and its FD neighbours share the fault, which leaves
+    every coefficient law but the phase rate intact."""
+    build = verifier.evolution_functional
+
+    def faulty(space, v_hat, t, *args):
+        st = build(space, v_hat, t, *args)
+        g = st.coeffs
+        drift = np.exp(-1j * eps * space.frequencies * t)
+        return EvolutionState(space, st.t, st.v_hat,
+                              PairCoefficients(g.a_pair, g.b * drift, g.c, g.negation),
+                              st.calibration)
+
+    monkeypatch.setattr(verifier, "evolution_functional", faulty)
+    return faulty
+
+
+def _only_fd_fails(state):
+    """Both checks fail on the fd column alone."""
+    schr = schrodinger_residual(state)
+    for report in (first_order_residual(state), schr):
+        tol = report.tolerances
+        assert not report.passed, report.summary_line()
+        assert max(report.max_q2, report.max_q1) < tol["coeff"], report.summary_line()
+        assert report.fd_residual > tol["numeric"], report.summary_line()
+    assert schr.numeric_spread < schr.tolerances["spread"]
+
+
+@pytest.mark.parametrize("n", [16, 1024])
+def test_fd_column_catches_a_uniform_phase_rate_error(monkeypatch, n):
+    clean = _calibrated(n, 1.0, 2 * np.pi, 1.0)
+    faulty = _rate_fault(monkeypatch, 1e-5)
+    _only_fd_fails(faulty(clean.space, clean.v_hat, clean.t, clean.calibration))
+
+
+def test_fd_column_catches_a_one_mode_phase_rate_error(monkeypatch):
+    clean = _calibrated(1024, 1.0, 2 * np.pi, 1.0)
+    eps = np.zeros(clean.space.num_modes)
+    eps[np.argmax(np.abs(clean.space.frequencies * clean.coeffs.b))] = 1e-3
+    faulty = _rate_fault(monkeypatch, eps)
+    _only_fd_fails(faulty(clean.space, clean.v_hat, clean.t, clean.calibration))
+
+
+@pytest.mark.parametrize("check", [first_order_residual, schrodinger_residual])
+def test_identity_check_memory_stays_linear_at_n65536(check):
+    state = _calibrated(65536, 1.0, 2 * np.pi, 1.0, seed=1)
+    tracemalloc.start()
+    try:
+        check(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * state.space.num_modes * 16, peak
