@@ -118,6 +118,8 @@ def _inputs(cfg: RunConfig):
     _checked("time", lambda: cfg.time is None or require_real("time", cfg.time))
     _checked("time", lambda: _require(cfg.time is None or cfg.time >= 0,
                                       f"must be nonnegative, got {cfg.time}"))
+    _checked("seed", lambda: _require(type(cfg.seed) is int,   # a bool is an int
+                                      f"must be an integer (not a bool), got {cfg.seed!r}"))
     rng = _checked("seed", lambda: np.random.default_rng(cfg.seed))
     space, calib = _checked("modes, box_length, mass, hbar",
                             lambda: _lattice(cfg, cfg.modes, cfg.mass))
@@ -314,6 +316,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     _inputs(cfg)   # refused as for every command; the sweep runs its own lattices
     for name in ("sweep_modes", "sweep_masses", "sweep_times"):
         _checked(name, lambda: _require(len(getattr(cfg, name)) > 0, "must not be empty"))
+    _checked("sweep_times", lambda: [require_real("sweep_times", t) for t in cfg.sweep_times])
     lattices = _checked("sweep_modes, sweep_masses", lambda: [
         _lattice(cfg, n, m) for n in cfg.sweep_modes for m in cfg.sweep_masses])
     states = []

@@ -289,17 +289,23 @@ def kernel_matrix_solver(grid: QMGrid, boundary: BoundaryFactors,
 
     For each p0 the initial wave function psi_L(q) e^{-i p0 q / h} is
     evolved through the window, weighted by psi_R, and transformed with
-    e^{+i p q / h}.  All p0 columns evolve together as one batch.
+    e^{+i p q / h}.  All p0 columns evolve together as one batch.  Every
+    step works in place, so at most three (rows x points) arrays are alive,
+    and einsum contracts: a threaded BLAS zgemm would leave a worker spinning.
     """
     p0s = np.atleast_1d(np.asarray(p0_values, dtype=float))
     ps = np.atleast_1d(np.asarray(p_values, dtype=float))
     check_band(grid, p0s, ps)
     q = grid.q
-    chi = boundary.left[None, :] * np.exp(-1j * np.outer(p0s, q) / grid.hbar)
-    evolved = propagate_driven(chi, grid, t_initial, t_final, drive)
-    weighted = evolved * boundary.right[None, :]
-    transform = np.exp(1j * np.outer(q, ps) / grid.hbar) * grid.dq
-    return weighted @ transform
+    batch = -1j * np.outer(p0s, q)
+    np.exp(np.divide(batch, grid.hbar, out=batch), out=batch)
+    batch *= boundary.left
+    batch = propagate_driven(batch, grid, t_initial, t_final, drive)
+    batch *= boundary.right
+    transform = 1j * np.outer(q, ps)
+    np.exp(np.divide(transform, grid.hbar, out=transform), out=transform)
+    transform *= grid.dq
+    return np.einsum("rq,qp->rp", batch, transform)
 
 
 def kernel_matrix_genfunc(p0_values, p_values, omega: float, hbar: float,

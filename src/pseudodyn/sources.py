@@ -91,12 +91,10 @@ def exponent_coefficients(omegas, negation, hbar: float, t_initial: float,
     if t_initial > t_final:
         raise ValueError(f"t_initial={t_initial} must not exceed t_final={t_final}")
     pref = -0.5j / hbar
-    # one kernel call for tau = 0 and the window (exp(0) == 1: uu is exact)
-    delta_delta = np.array([[pref], [-pref]]) * feynman_kernel_closed(
-        omegas, [[0.0], [t_final - t_initial]])
-    if not np.isfinite(delta_delta).all():
+    uv = -pref * feynman_kernel_closed(omegas, t_final - t_initial)   # checks omegas
+    uu = pref * (-0.5j / omegas)   # D(0) = -i/(2 omega): exp(0) == 1, no call needed
+    if not (np.isfinite(uu).all() and np.isfinite(uv).all()):
         raise ValueError("uu, uv have non-finite entries")
-    uu, uv = delta_delta
     if drive is None:
         zero = np.zeros(len(omegas), dtype=complex)
         return ZExponent(uu, uv, zero, zero, 0.0j)

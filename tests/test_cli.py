@@ -63,8 +63,9 @@ def test_semigroup_command(tmp_path):
 
 DATA = Path(__file__).with_name("data")
 
-# (command, flags, config or None); each must be refused.  A config given
-# as a str is the file's raw text, anything else is written as JSON
+# (command, flags, config or None[, text]); each must be refused, with text,
+# if given, in the message.  A config given as a str is the file's raw
+# text, anything else is written as JSON
 BAD_INPUTS = [
     ("verify-first-order", ["--mass", "-2"], None),
     ("verify-first-order", ["--v-spec", "single:99"], None),
@@ -124,7 +125,11 @@ BAD_INPUTS = [
     ("sweep", [], {"sweep_modes": [2.5]}),
     ("sweep", [], {"sweep_modes": ["8"]}),
     ("sweep", [], {"sweep_masses": ["1.0"]}),
-    ("sweep", [], {"sweep_times": ["1"]}),
+    ("sweep", [], {"sweep_times": ["1"]}, "must be a real number"),
+    # a bool is not a seed, nor is a float
+    ("verify-first-order", [], {"seed": True}, "seed: must be an integer"),
+    ("sweep", [], {"seed": True}, "seed: must be an integer"),
+    ("verify-first-order", [], {"seed": 1.5}, "seed: must be an integer"),
     # an infinite tolerance would pass any residual
     ("verify-first-order", ["--time", "1e8", "--tol-numeric", "inf"], None),
     ("calibrate", [], '{"tol_bridge": Infinity}'),
@@ -133,7 +138,7 @@ BAD_INPUTS = [
 
 def test_invalid_config_rejected_without_report(tmp_path, capsys):
     # exit 2, one stderr line starting 'config error:', no report written
-    for i, (command, flags, config) in enumerate(BAD_INPUTS):
+    for i, (command, flags, config, *text) in enumerate(BAD_INPUTS):
         argv = [command] + flags
         if config is not None:
             cfg_path = tmp_path / f"cfg{i}.json"
@@ -145,6 +150,7 @@ def test_invalid_config_rejected_without_report(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error:"), (argv, err)
         assert len(err.splitlines()) == 1, (argv, err)
+        assert all(t in err for t in text), (argv, err)
         assert not out.exists(), argv
 
 

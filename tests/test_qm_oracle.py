@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,8 +225,10 @@ def test_row_split_bit_identical_to_rows_alone(grid, rows_alone, monkeypatch, cp
 def test_propagate_leaves_input_untouched(grid, vacuum):
     psi0 = vacuum.astype(complex)
     before = psi0.copy()
-    propagate_driven(psi0, grid, 0.0, 0.01)
-    assert np.array_equal(psi0, before)
+    for t_final in (0.0, 0.01):
+        psi = propagate_driven(psi0, grid, 0.0, t_final)
+        assert psi is not psi0 and not np.shares_memory(psi, psi0)
+        assert np.array_equal(psi0, before)
 
 
 def _dense_hamiltonian(g):
@@ -391,6 +394,60 @@ def test_compare_kernels_inconclusive_when_all_excluded():
 def test_compare_kernels_shape_mismatch():
     with pytest.raises(ValueError):
         compare_kernels(np.ones((2, 2)), np.ones((2, 3)), 1e-3)
+
+
+def _kernel_by_matmul(grid, boundary, p0s, ps, t_initial, t_final, drive=None):
+    """The batch and the kernel of the out-of-place weighted @ transform formula."""
+    q = grid.q
+    chi = boundary.left[None, :] * np.exp(-1j * np.outer(p0s, q) / grid.hbar)
+    evolved = propagate_driven(chi, grid, t_initial, t_final, drive)
+    weighted = evolved * boundary.right[None, :]
+    transform = np.exp(1j * np.outer(q, ps) / grid.hbar) * grid.dq
+    return chi, weighted @ transform
+
+
+def test_in_place_kernel_matches_matmul_formula(grids, monkeypatch):
+    # the in-place batch is bit-identical to the formula's; the einsum
+    # contraction differs from the zgemm in summation order alone
+    seen = []
+
+    def recording(psi0, *args):
+        seen.append(np.array(psi0))
+        return propagate_driven(psi0, *args)
+
+    monkeypatch.setattr(qm_oracle, "propagate_driven", recording)
+    moms = np.linspace(-2.0, 2.0, 8)
+    drive = np.sin(np.linspace(0.0, 0.1, 101))
+    for g, b in grids:
+        for p0s, ps, t1, drv in ((moms, moms, 0.0, None), (moms, moms, 0.1, None),
+                                 (moms, moms, 0.1, drive),
+                                 ([0.0, 1.0], [0.0, 1.0], 0.1, None)):
+            p0s, ps = np.array(p0s), np.array(ps)
+            kept = [b.left.copy(), b.right.copy(), p0s.copy(), ps.copy()]
+            got = kernel_matrix_solver(g, b, p0s, ps, 0.0, t1, drv)
+            chi, want = _kernel_by_matmul(g, b, p0s, ps, 0.0, t1, drv)
+            assert np.array_equal(seen.pop().view(np.uint64), chi.view(np.uint64))
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            for before, after in zip(kept, (b.left, b.right, p0s, ps)):
+                assert np.array_equal(before, after)
+
+
+@pytest.mark.parametrize("driven", [False, True])
+def test_kernel_call_holds_at_most_three_full_arrays(driven):
+    # a 32-row batch on 1024 points over 200 steps, traced after a warm-up
+    # call; the out-of-place formula peaks at five full arrays
+    g = QMGrid(q_min=-12.0, q_max=12.0, n_points=1024, dt=1e-3, omega=1.0)
+    b = BoundaryFactors.vacuum(g)
+    moms = np.linspace(-3.0, 3.0, 32)
+    drive = np.sin(np.linspace(0.0, 0.2, 201)) if driven else None
+    kernel_matrix_solver(g, b, moms, moms, 0.0, 0.2, drive)
+    tracemalloc.start()
+    try:
+        kernel_matrix_solver(g, b, moms, moms, 0.0, 0.2, drive)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * moms.size * g.n_points * 16, peak / (moms.size * g.n_points * 16)
 
 
 def test_cross_coefficient_matches_closed_form(grids):
