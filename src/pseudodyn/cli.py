@@ -195,8 +195,7 @@ def _cmd_calibrate(cfg: RunConfig) -> int:
     payload = {"space": space.to_config(), "calibration": calib.to_record()}
     _write_json(out_dir / "calibration.json", payload)
     lam = complex(calib.lambda_)
-    print(f"calibration: lambda = {lam.real:+.12g}{lam.imag:+.12g}i  "
-          f"c2 = {calib.c2}")
+    print(f"calibration: lambda = {lam.real:+.12g}{lam.imag:+.12g}i")
     return 0
 
 
@@ -385,10 +384,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-        for name in ("modes", "mass", "box_length", "hbar", "time", "seed", "out",
-                     "tol_coeff", "tol_numeric", "v_spec", "drive_file"):
-            value = getattr(args, name)
-            if value is not None:
+        for name, value in vars(args).items():
+            if name not in ("command", "config") and value is not None:
                 setattr(cfg, name, value)
         return _COMMANDS[args.command](cfg)
     except ConfigError as err:

@@ -33,8 +33,7 @@ __all__ = [
     "PoleResolutionError",
     "feynman_kernel_closed",
     "feynman_kernel_quadrature",
-    "kernel_double_trapezoid",
-    "kernel_trapezoid",
+    "kernel_trapezoid_sums",
     "richardson_kernel",
     "truncation_tail",
 ]
@@ -65,40 +64,33 @@ def feynman_kernel_closed(omega, tau):
     return out
 
 
-def _trapezoid_weights(n: int, step: float) -> np.ndarray:
-    """Trapezoid weights of n uniform samples spaced step apart."""
-    weights = np.full(n, step)
-    weights[0] = weights[-1] = 0.5 * step
-    return weights
+def kernel_trapezoid_sums(x, y, t_initial: float, t_final: float, omegas):
+    """Per-mode kernel trapezoid sums against samples, from one phase table.
 
-
-def kernel_trapezoid(x, t_star: float, times, step, omegas) -> np.ndarray:
-    """Per-mode trapezoid sum_m w_m D(t* - t_m) x_m at one time t*.
-
-    x holds samples on the uniform grid ``times`` (spacing ``step``), one
-    row per time and one column per mode; omegas has one entry per column.
+    x and y hold samples spread evenly over [t_initial, t_final], one row
+    per time and one column per mode; omegas has one entry per column.
+    Returns sum_m w_m D(t_initial - t_m) x_m, sum_m w_m D(t_final - t_m) x_m
+    and the double sum sum_{m,m'} w_m w_m' x_m D(t_m - t_m') y_m'.  All three
+    read one table e^{-i w (t_m - t_initial)}: the t_final sum is its
+    conjugate turned by e^{-i w (t_final - t_initial)}, and the |t - t'|
+    kernel of the double sum is split at the diagonal into cumulative sums,
+    O(n) per mode instead of an (n, n) matrix.
     """
-    weights = _trapezoid_weights(len(times), step)
-    kern = feynman_kernel_closed(omegas[None, :], np.abs(t_star - times)[:, None])
-    return (weights[:, None] * kern * x).sum(axis=0)
-
-
-def kernel_double_trapezoid(x, y, times, step, omegas) -> np.ndarray:
-    """Per-mode double trapezoid sum_{m,m'} w_m w_m' x_m D(t_m - t_m') y_m'.
-
-    x and y hold samples on the uniform grid ``times`` (spacing ``step``),
-    one row per time and one column per mode; omegas has one entry per
-    column.  The |t - t'| kernel is split at the diagonal so the double sum
-    reduces to cumulative sums, O(n) per mode instead of an (n, n) matrix.
-    """
-    weights = _trapezoid_weights(len(times), step)
-    phase = np.exp(-1j * np.outer(times, omegas))  # e^{-i w t_m}
+    times = np.linspace(t_initial, t_final, len(x))
+    weights = np.full(len(x), times[1] - times[0])
+    weights[[0, -1]] *= 0.5
+    phase = np.exp(-1j * np.outer(times - t_initial, omegas))   # e^{-i w (t_m - t0)}
     wx = weights[:, None] * x
+    # products with phase are rebuilt in the double sum: kept, they raise its peak
+    at_initial = (wx * phase).sum(axis=0)
+    at_final = (wx * np.conj(phase)).sum(axis=0)
     wy = weights[:, None] * y
     below = np.cumsum(wy * np.conj(phase), axis=0)                     # m' <= m
     above = np.cumsum((wy * phase)[::-1], axis=0)[::-1] - wy * phase   # m' > m
-    s = ((wx * phase) * below + (wx * np.conj(phase)) * above).sum(axis=0)
-    return -0.5j / omegas * s
+    double = ((wx * phase) * below + (wx * np.conj(phase)) * above).sum(axis=0)
+    turn = np.exp(-1j * (t_final - t_initial) * omegas)
+    d0 = -0.5j / omegas
+    return d0 * at_initial, d0 * turn * at_final, d0 * double
 
 
 _PANEL_NODES = 20   # Gauss-Legendre nodes per panel

@@ -20,10 +20,10 @@ evolution equation
 
 as written; a single global rescaling u -> lambda*u closes the gap.
 ``calibrate`` solves for lambda algebraically from the raw coefficients
-(lambda^2 * 2 omega_k A_{k,-k} = 1, mode-independent by the 1/omega law) and
-records the constant c2 actually achieved in
-i dPhi/dT = sum_k u_k (omega_k d/du_k - c2 u_{-k}) Phi; the omega_k d/du_k
-term closes for any lambda, since i db/dT = omega b holds exactly.
+(lambda^2 * 2 omega_k A_{k,-k} = 1, mode-independent by the 1/omega law);
+the omega_k d/du_k term closes for any lambda, since i db/dT = omega b holds
+exactly.  The quadratic constant a lambda actually achieves is measured
+where it is judged, by verifier.first_order_residual (achieved_c2).
 """
 
 from __future__ import annotations
@@ -44,16 +44,15 @@ _SPREAD_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ConventionCalibration:
-    """Global rescaling lambda, with the achieved quadratic constant.
+    """Global rescaling u -> lambda u of the raw exponent.
 
-    c2 = 1 after a successful calibration; a forced lambda records whatever
-    constant the first-order equation then actually carries.  The
-    energy-transform sign is not recorded: the closed-form kernel, and with
-    it every coefficient, is the same for either sign.
+    Only lambda is recorded: the quadratic constant it achieves is reported
+    by verifier.first_order_residual.  The energy-transform sign is not
+    recorded either: the closed-form kernel, and with it every coefficient,
+    is the same for either sign.
     """
 
     lambda_: complex
-    c2: complex = 1.0
 
     def __post_init__(self):
         if self.lambda_ == 0:
@@ -63,8 +62,6 @@ class ConventionCalibration:
         return {
             "lambda_re": complex(self.lambda_).real,
             "lambda_im": complex(self.lambda_).imag,
-            "c2": complex(self.c2).real if complex(self.c2).imag == 0 else
-                  [complex(self.c2).real, complex(self.c2).imag],
         }
 
 
@@ -84,14 +81,14 @@ def evolution_functional(space: ModeSpace, v_hat: ModeVector, t: float,
                          calibration: ConventionCalibration | None = None) -> EvolutionState:
     """Build Phi(T, .) from the initial layer data v at T0 = 0.
 
-    It is z_exponent(space, T).gaussian_in_u(v_hat) read at lambda u, built by
-    one sources.contract_v.  Negative T is rejected by the window-order rule
-    of sources.exponent_coefficients: the kernel's |tau| would fold it onto
+    It is z_exponent(space, T) with v contracted, read at lambda u: one
+    sources.contract_v, at lambda = 1 when no calibration is given.
+    Negative T is rejected by the window-order rule of
+    sources.exponent_coefficients: the kernel's |tau| would fold it onto
     +|T|, and the two boundary weights are not orientation-symmetric.
     """
     if calibration is None:
-        calibration = ConventionCalibration(lambda_=1.0,
-                                            c2=-1.0 / (2.0 * space.hbar))
+        calibration = ConventionCalibration(lambda_=1.0)
     coefficients = exponent_coefficients(space.frequencies, space.negation,
                                          space.hbar, 0.0, t)
     g = contract_v(coefficients, v_hat.values, space.negation, calibration.lambda_)
@@ -117,12 +114,10 @@ def calibrate(space: ModeSpace,
     (uncalibrated, T-independent) pairing coefficient z_exponent(space, 0).uu;
     a_k * omega_k must be mode-independent, so a spread beyond _SPREAD_TOL
     (or a NaN one, from a lattice whose lambda^2 overflows) raises.  The
-    principal root of lambda^2 is taken.  With force_lambda the achieved
-    constant is recorded instead of enforced.
+    principal root of lambda^2 is taken, unless force_lambda is given; that
+    lambda is recorded as is, after the same spread gate.
     """
-    a_raw = z_exponent(space, 0.0).uu
-    w = space.frequencies
-    lam2 = 1.0 / (2.0 * a_raw * w)
+    lam2 = 1.0 / (2.0 * z_exponent(space, 0.0).uu * space.frequencies)
     center = lam2.mean()
     spread = float(np.max(np.abs(lam2 - center))) / abs(center)
     if not spread <= _SPREAD_TOL:
@@ -131,13 +126,4 @@ def calibrate(space: ModeSpace,
             f"{spread:.3e}); a_k * omega_k should be constant"
         )
     lam = complex(np.sqrt(center) if force_lambda is None else force_lambda)
-    # achieved constant: the calibrated quadratic coefficient 2 omega lambda^2 a
-    c2_modes = 2.0 * w * (lam * lam) * a_raw
-    if force_lambda is not None:
-        return ConventionCalibration(lambda_=lam, c2=complex(c2_modes.mean()))
-    resid = float(np.max(np.abs(c2_modes - 1.0)))
-    if not resid <= _SPREAD_TOL:
-        raise RuntimeError(
-            f"calibration failed to close the quadratic law (residual {resid:.3e})"
-        )
-    return ConventionCalibration(lambda_=lam, c2=1.0)
+    return ConventionCalibration(lambda_=lam)

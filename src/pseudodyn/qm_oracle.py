@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .modespace import require_real
 from .reports import ResidualReport
 from .sources import exponent_coefficients
 
@@ -62,10 +63,13 @@ class QMGrid:
     hbar: float = 1.0
 
     def __post_init__(self):
+        for name in ("q_min", "q_max", "dt", "omega", "hbar"):
+            require_real(name, getattr(self, name))
+        n = self.n_points
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 16:
+            raise ValueError(f"n_points must be an integer >= 16, got {n!r}")
         if not self.q_max > self.q_min:
             raise ValueError("q_max must exceed q_min")
-        if self.n_points < 16:
-            raise ValueError("n_points too small for a meaningful grid")
         for name in ("dt", "omega", "hbar"):
             value = getattr(self, name)
             if not value > 0:

@@ -20,9 +20,10 @@ all-ordered-pairs convention of the Gaussian algebra.  Both layers' self
 terms carry the same coincident kernel D(0), hence the one coefficient uu.
 The coefficients depend only on the window [T0, T] and the drive; the
 layers enter only when the exponent is read as a Gaussian in u with v
-contracted (contract_v: ZExponent.gaussian_in_u and the state build).
-Delta-delta terms are exact; delta-drive and drive-drive terms use
-trapezoid quadrature on the drive samples, spread evenly over the window.
+contracted (contract_v, the one contraction, which the state build calls).
+Delta-delta terms are exact; delta-drive and drive-drive terms are the
+trapezoid sums of propagator.kernel_trapezoid_sums on the drive samples,
+spread evenly over the window.
 exponent_coefficients is the one place these coefficients are computed and
 checked, and it returns the ZExponent that every reader takes as is:
 z_exponent, the state build and calibration in pseudodynamics, and the
@@ -36,9 +37,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .gaussian import PairCoefficients
-from .modespace import ModeSpace, ModeVector
-from .propagator import (feynman_kernel_closed, kernel_double_trapezoid,
-                         kernel_trapezoid)
+from .modespace import ModeSpace
+from .propagator import feynman_kernel_closed, kernel_trapezoid_sums
 
 __all__ = ["ZExponent", "contract_v", "exponent_coefficients", "z_exponent"]
 
@@ -58,10 +58,6 @@ class ZExponent(NamedTuple):
     lin_u: np.ndarray
     lin_v: np.ndarray
     const: complex
-
-    def gaussian_in_u(self, v_hat: ModeVector) -> PairCoefficients:
-        """The exponent as a Gaussian in u with the v layer contracted."""
-        return contract_v(self, v_hat.values, v_hat.space.negation)
 
 
 def contract_v(coefficients, v, negation, lam=1.0) -> PairCoefficients:
@@ -98,11 +94,8 @@ def exponent_coefficients(omegas, negation, hbar: float, t_initial: float,
     if drive is None:
         zero = np.zeros(len(omegas), dtype=complex)
         return ZExponent(uu, uv, zero, zero, 0.0j)
-    times = np.linspace(t_initial, t_final, drive.shape[0])
-    step = times[1] - times[0]
-    i_final = kernel_trapezoid(drive, t_final, times, step, omegas)
-    i_initial = kernel_trapezoid(drive, t_initial, times, step, omegas)
-    dd = kernel_double_trapezoid(drive, drive[:, negation], times, step, omegas)
+    i_initial, i_final, dd = kernel_trapezoid_sums(drive, drive[:, negation],
+                                                   t_initial, t_final, omegas)
     z = ZExponent(uu, uv, 2.0 * pref * i_final[negation],
                   -2.0 * pref * i_initial[negation], pref * complex(dd.sum()))
     if not all(np.isfinite(x).all() for x in z[2:]):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +39,8 @@ def test_calibrate_writes_record(tmp_path):
     assert main(["calibrate", "--out", str(out)]) == 0
     payload = json.loads((out / "calibration.json").read_text())
     assert payload["calibration"]["lambda_im"] == pytest.approx(np.sqrt(2.0))
-    assert payload["calibration"]["c2"] == 1.0
-    assert "c1" not in payload["calibration"]
+    # lambda alone: the constant it achieves is first_order_residual's achieved_c2
+    assert sorted(payload["calibration"]) == ["lambda_im", "lambda_re"]
     assert payload["space"] == {"num_modes": 16, "box_length": 2.0 * np.pi,
                                 "mass": 1.0, "hbar": 1.0}
 
@@ -130,6 +131,11 @@ BAD_INPUTS = [
     ("verify-first-order", [], {"seed": True}, "seed: must be an integer"),
     ("sweep", [], {"seed": True}, "seed: must be an integer"),
     ("verify-first-order", [], {"seed": 1.5}, "seed: must be an integer"),
+    # the oracle grid's numbers are refused by their rules, not by comparison
+    ("oracle-qm", [], {"qm_omega": True}, "must be"),
+    ("oracle-qm", [], {"qm_omega": "1"}, "must be"),
+    ("oracle-qm", [], {"qm_points": 1024.5}, "must be"),
+    ("oracle-qm", [], {"qm_points": True}, "must be"),
     # an infinite tolerance would pass any residual
     ("verify-first-order", ["--time", "1e8", "--tol-numeric", "inf"], None),
     ("calibrate", [], '{"tol_bridge": Infinity}'),
@@ -152,6 +158,52 @@ def test_invalid_config_rejected_without_report(tmp_path, capsys):
         assert len(err.splitlines()) == 1, (argv, err)
         assert all(t in err for t in text), (argv, err)
         assert not out.exists(), argv
+
+
+NUMBER_FIELDS = [f.name for f in fields(RunConfig)
+                 if any(t in f.type for t in ("int", "float", "tuple"))]
+
+
+@pytest.mark.parametrize("name", NUMBER_FIELDS)
+def test_config_number_of_wrong_type_refused_by_its_key(tmp_path, capsys, name):
+    # each number, as a string and as a bool, run through the command that
+    # builds it; a sweep axis takes one such entry
+    command = ("oracle-qm" if name.startswith("qm_") else
+               "sweep" if name.startswith("sweep_") else "verify-first-order")
+    for i, bad in enumerate(("1", True)):
+        cfg_path = tmp_path / f"cfg{i}.json"
+        cfg_path.write_text(json.dumps(
+            {name: [bad] if name.startswith("sweep_") else bad}))
+        out = tmp_path / f"r{i}"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and len(err.splitlines()) == 1, err
+        keys = err[len("config error: "):].split(": ")[0].split(", ")
+        assert name in keys, (bad, err)
+        assert "not supported between instances" not in err, (bad, err)
+        assert not out.exists()
+
+
+def test_every_flag_reaches_the_config(monkeypatch):
+    seen = []
+
+    def capture(cfg):
+        seen.append(cfg)
+        return 0
+
+    monkeypatch.setitem(cli._COMMANDS, "calibrate", capture)
+    argv, expected = ["calibrate"], {}
+    for action in cli._build_parser()._actions:
+        if not action.option_strings or action.dest in ("help", "config"):
+            continue
+        text = {int: "3", float: "0.25"}.get(action.type, "x")
+        argv += [action.option_strings[-1], text]
+        expected[action.dest] = (action.type or str)(text)
+    assert main(argv) == 0
+    (cfg,) = seen
+    defaults = RunConfig()
+    assert all(getattr(defaults, name) != value for name, value in expected.items())
+    assert {name: getattr(cfg, name) for name in expected} == expected
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -1,4 +1,6 @@
+import ast
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -24,3 +26,16 @@ def test_import_loads_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    # a name left in __all__ after its definition is deleted fails only at
+    # `from module import *`; so does one the package imports
+    package = Path(pseudodyn.__file__).parent
+    for info in pkgutil.iter_modules([str(package)]):
+        exec(f"from pseudodyn.{info.name} import *", {})
+    tree = ast.parse((package / "__init__.py").read_text())
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert imported
+    assert [name for name in imported if not hasattr(pseudodyn, name)] == []

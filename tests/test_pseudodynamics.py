@@ -4,6 +4,7 @@ import pytest
 from pseudodyn import (ConventionCalibration, ModeVector, advance,
                        build_mode_space, calibrate, evolution_functional,
                        z_exponent)
+from pseudodyn.sources import contract_v
 
 
 @pytest.fixture
@@ -25,7 +26,6 @@ def test_calibration_solves_lambda(ms):
     calib = calibrate(ms)
     # lambda^2 = -2 at h = 1, principal root i*sqrt(2)
     assert complex(calib.lambda_) == pytest.approx(1j * np.sqrt(2.0))
-    assert calib.c2 == 1.0
 
 
 def test_calibration_lambda_scales_with_hbar():
@@ -43,9 +43,10 @@ def test_calibration_refuses_a_non_finite_lambda():
 
 
 def test_forced_identity_lambda_records_gap(ms):
+    # the gap itself, c2 = -1/2, is what first_order_residual reports as
+    # achieved_c2 (test_verifier)
     calib = calibrate(ms, force_lambda=1.0)
     assert complex(calib.lambda_) == 1.0
-    assert complex(calib.c2) == pytest.approx(-0.5)
 
 
 def test_zero_initial_layer(ms):
@@ -61,7 +62,7 @@ def test_t_zero_matches_direct_substitution(ms):
     v = unit_random(ms, 1)
     st = evolution_functional(ms, v, 0.0)
     zx = z_exponent(ms, 0.0)
-    g = zx.gaussian_in_u(v)
+    g = contract_v(zx, v.values, ms.negation)
     assert np.array_equal(st.coeffs.a, g.a)
     assert np.array_equal(st.coeffs.b, g.b)
     assert st.coeffs.c == g.c
@@ -162,7 +163,7 @@ def test_build_is_the_rescaled_z_exponent_contraction(n, hbar, t):
     calib = calibrate(space)
     v = unit_random(space, 7)
     got = evolution_functional(space, v, t, calib).coeffs
-    ref = z_exponent(space, t).gaussian_in_u(v)
+    ref = contract_v(z_exponent(space, t), v.values, space.negation)
     lam = complex(calib.lambda_)
     assert np.array_equal(got.a_pair, lam * lam * ref.a_pair)
     assert np.array_equal(got.b, lam * ref.b)

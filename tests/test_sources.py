@@ -5,6 +5,7 @@ from scipy import integrate
 from pseudodyn import (ModeVector, build_mode_space,
                        feynman_kernel_quadrature, log_evaluate, z_exponent)
 from pseudodyn.qm_oracle import kernel_matrix_genfunc
+from pseudodyn.sources import contract_v
 
 
 @pytest.fixture
@@ -19,7 +20,7 @@ def unit_random(space, seed):
 
 def exponent(zx, u, v):
     """log Z on layer data (u, v), read through the Gaussian in u."""
-    return log_evaluate(zx.gaussian_in_u(v), u)
+    return log_evaluate(contract_v(zx, v.values, v.space.negation), u)
 
 
 def test_zero_source_gives_unit_z(ms):
@@ -126,26 +127,29 @@ def test_non_finite_drive_sample_rejected(ms):
 
 
 def test_delta_drive_integral_against_adaptive_quadrature(ms):
-    # trapezoid drive integrals vs scipy adaptive quadrature of the same kernel
-    t_final = 2.0
-    tt = np.linspace(0.0, t_final, 2001)
-    drive = np.zeros((tt.size, ms.num_modes))
+    # trapezoid drive integrals vs scipy adaptive quadrature of the same
+    # kernel, at both layers, on a window from 0 and on one away from it
     k = ms.index_of(1)
-    drive[:, k] = np.sin(tt)
-    zx = z_exponent(ms, t_final, drive=drive)
     omega = ms.frequencies[k]
 
-    def integrand_re(t):
-        return (-0.5j / omega * np.exp(-1j * omega * abs(t_final - t)) * np.sin(t)).real
+    def kernel_integral(t_star, t_initial, t_final):
+        def integrand(t):
+            return -0.5j / omega * np.exp(-1j * omega * abs(t_star - t)) * np.sin(t)
+        return (integrate.quad(lambda t: integrand(t).real, t_initial, t_final)[0]
+                + 1j * integrate.quad(lambda t: integrand(t).imag, t_initial, t_final)[0])
 
-    def integrand_im(t):
-        return (-0.5j / omega * np.exp(-1j * omega * abs(t_final - t)) * np.sin(t)).imag
-
-    ref = (integrate.quad(integrand_re, 0, t_final)[0]
-           + 1j * integrate.quad(integrand_im, 0, t_final)[0])
-    # lin_u[k'] pairs mode k' with the drive on -k'; sin lives on k = +1
-    got = zx.lin_u[ms.index_of(-1)]
-    assert got == pytest.approx(2.0 * (-0.5j) * ref, rel=1e-6)
+    for t_initial, t_final, n in ((0.0, 2.0, 2001), (10.0, 11.5, 1501)):
+        tt = np.linspace(t_initial, t_final, n)
+        drive = np.zeros((tt.size, ms.num_modes))
+        drive[:, k] = np.sin(tt)
+        zx = z_exponent(ms, t_final, t_initial, drive=drive)
+        # lin_u[k'] pairs mode k' with the drive on -k'; sin lives on k = +1
+        at_final = kernel_integral(t_final, t_initial, t_final)
+        at_initial = kernel_integral(t_initial, t_initial, t_final)
+        assert zx.lin_u[ms.index_of(-1)] == pytest.approx(2.0 * (-0.5j) * at_final,
+                                                          rel=1e-6)
+        assert zx.lin_v[ms.index_of(-1)] == pytest.approx(-2.0 * (-0.5j) * at_initial,
+                                                          rel=1e-6)
 
 
 def test_single_mode_matches_qm_genfunc_formula():
@@ -167,22 +171,24 @@ def test_single_mode_matches_qm_genfunc_formula():
 
 def test_drive_drive_term_against_dense_double_sum(ms):
     rng = np.random.default_rng(17)
-    t_final = 1.0
     n = 301
-    tt = np.linspace(0.0, t_final, n)
-    drive = rng.normal(size=(n, ms.num_modes)) + 1j * rng.normal(size=(n, ms.num_modes))
-    zx = z_exponent(ms, t_final, drive=drive)
-    w = np.full(n, tt[1] - tt[0])
-    w[0] = w[-1] = 0.5 * (tt[1] - tt[0])
-    dense = 0.0 + 0.0j
-    for k in range(ms.num_modes):
-        om = ms.frequencies[k]
-        gmat = -0.5j / om * np.exp(-1j * om * np.abs(tt[:, None] - tt[None, :]))
-        dense += (w * drive[:, k]) @ gmat @ (w * drive[:, ms.negation[k]])
-    assert zx.const == pytest.approx(-0.5j * dense, rel=1e-12)
+    # a window from 0, and one away from it
+    for t_initial, t_final in ((0.0, 1.0), (10.0, 11.5)):
+        tt = np.linspace(t_initial, t_final, n)
+        drive = (rng.normal(size=(n, ms.num_modes))
+                 + 1j * rng.normal(size=(n, ms.num_modes)))
+        zx = z_exponent(ms, t_final, t_initial, drive=drive)
+        w = np.full(n, tt[1] - tt[0])
+        w[0] = w[-1] = 0.5 * (tt[1] - tt[0])
+        dense = 0.0 + 0.0j
+        for k in range(ms.num_modes):
+            om = ms.frequencies[k]
+            gmat = -0.5j / om * np.exp(-1j * om * np.abs(tt[:, None] - tt[None, :]))
+            dense += (w * drive[:, k]) @ gmat @ (w * drive[:, ms.negation[k]])
+        assert zx.const == pytest.approx(-0.5j * dense, rel=1e-12), (t_initial, t_final)
 
 
-def test_gaussian_in_u_contraction(ms):
+def test_contract_v_against_coefficient_layout(ms):
     # the contraction against the coefficient layout written out in full
     u = unit_random(ms, 21).values
     v = unit_random(ms, 22)
@@ -192,4 +198,4 @@ def test_gaussian_in_u_contraction(ms):
     w = v.values
     layout = (zx.uu * (u * u[neg] + w * w[neg]) + zx.uv * (u * w[neg] + w * u[neg])
               + zx.lin_u * u + zx.lin_v * w).sum() + zx.const
-    assert log_evaluate(zx.gaussian_in_u(v), u) == pytest.approx(layout, rel=1e-12)
+    assert log_evaluate(contract_v(zx, w, neg), u) == pytest.approx(layout, rel=1e-12)
