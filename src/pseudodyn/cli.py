@@ -199,14 +199,24 @@ def _cmd_calibrate(cfg: RunConfig) -> int:
     return 0
 
 
-def _verify(cfg: RunConfig, check, name: str, **tols) -> int:
+# each identity check by the name of its report, judged at the config's
+# tolerances; verify-* runs one, sweep runs both
+_CHECKS = {
+    "first_order": lambda cfg, state: first_order_residual(
+        state, tol_coeff=cfg.tol_coeff, tol_numeric=cfg.tol_numeric, seed=cfg.seed),
+    "schrodinger": lambda cfg, state: schrodinger_residual(
+        state, tol_coeff=cfg.tol_schrodinger, tol_spread=cfg.tol_spread,
+        tol_numeric=cfg.tol_numeric, seed=cfg.seed),
+}
+
+
+def _verify(cfg: RunConfig, name: str) -> int:
     space, calib, v_hat, _ = _inputs(cfg)
     t = 1.0 if cfg.time is None else cfg.time
     state = _checked("time", lambda: evolution_functional(space, v_hat, t,
                                                           calibration=calib))
     out_dir = _out_dir(cfg)
-    report = check(state, tol_numeric=cfg.tol_numeric, seed=cfg.seed, **tols)
-    return _emit(report, out_dir, name)
+    return _emit(_CHECKS[name](cfg, state), out_dir, name)
 
 
 def _cmd_semigroup(cfg: RunConfig) -> int:
@@ -222,91 +232,78 @@ def _cmd_semigroup(cfg: RunConfig) -> int:
     passed = worst < cfg.tol_coeff
     report = ResidualReport(
         identity="semigroup", numeric_spread=worst,
-        params={"num_modes": space.num_modes, "mass": space.mass,
-                "box_length": space.box_length, "hbar": space.hbar,
-                "t": t, "seed": cfg.seed, "partitions": 10},
+        params={**space.to_config(), "t": t, "seed": cfg.seed, "partitions": 10},
         tolerances={"coeff": cfg.tol_coeff},
         verdict="pass" if passed else "fail")
     return _emit(report, out_dir, "semigroup")
 
 
-def _kernel_csv_rows(p0s, ps, lhs, rhs):
+def _kernel_csv_rows(moms, lhs, rhs):
     ratio = np.where(np.abs(rhs) > 0, lhs / np.where(np.abs(rhs) > 0, rhs, 1.0), np.nan)
-    rows = []
-    for i, p0 in enumerate(p0s):
-        for j, p in enumerate(ps):
-            rows.append(",".join(repr(float(x)) for x in (
-                p0, p, lhs[i, j].real, lhs[i, j].imag,
-                rhs[i, j].real, rhs[i, j].imag,
-                ratio[i, j].real, ratio[i, j].imag)))
-    return rows
+    return [",".join(repr(float(x)) for x in (
+                p0, p, lhs[i, j].real, lhs[i, j].imag, rhs[i, j].real, rhs[i, j].imag,
+                ratio[i, j].real, ratio[i, j].imag))
+            for i, p0 in enumerate(moms) for j, p in enumerate(moms)]
 
 
 def _cmd_oracle_qm(cfg: RunConfig) -> int:
     space, calib, _, _ = _inputs(cfg)
-    p0s = np.linspace(-3.0, 3.0, 32)
-    ps = np.linspace(-3.0, 3.0, 32)
+    moms = np.linspace(-3.0, 3.0, 32)   # the endpoint momenta, p0 and p alike
     grid, boundary = _checked("qm_q_min, qm_q_max, qm_points, qm_dt, qm_omega, hbar",
-                              lambda: _vacuum_grid(cfg, cfg.qm_omega, p0s, ps))
+                              lambda: _vacuum_grid(cfg, cfg.qm_omega, moms))
     bridges = {k: _checked(f"mode bridge grid at k={k} (from modes, box_length, mass)",
                            lambda: _vacuum_grid(cfg, space.frequency(k), _BRIDGE_P))
                for k in _BRIDGE_MODES}
     drive_window, drive = _checked("drive_file", lambda: _oracle_drive(cfg))
     out_dir = _out_dir(cfg)
+    summary = {"bridge": {}}
 
-    cases = [
-        ("coincident", 0.0, 0.0, None, cfg.tol_kernel_coincident),
-        ("gap_1", 0.0, 1.0, None, cfg.tol_kernel_gap),
-        ("driven", drive_window[0], drive_window[1], drive, cfg.tol_kernel_gap),
-    ]
-    all_ok = True
-    summary = {}
-    # the solver's one RuntimeError is a boundary leak: amplitude reaching the
-    # grid edge, which leaves that case inconclusive
-    for name, t0, t1, drv, tol in cases:
-        params = {"case": name, "t0": t0, "t1": t1}
-        try:
-            lhs = kernel_matrix_solver(grid, boundary, p0s, ps, t0, t1, drv)
-        except RuntimeError as leak:
-            report = ResidualReport(identity="boundary_kernel_match", params=params,
-                                    tolerances={"spread": tol},
-                                    verdict="inconclusive", note=str(leak))
-        else:
-            rhs = kernel_matrix_genfunc(p0s, ps, grid.omega, grid.hbar, t0, t1, drv)
-            report = compare_kernels(lhs, rhs, tol, params=params)
+    def kernel_case(name, t0, t1, drv, tol):
+        params, tols = {"case": name, "t0": t0, "t1": t1}, {"spread": tol}
+
+        def judge():
+            lhs = kernel_matrix_solver(grid, boundary, moms, moms, t0, t1, drv)
+            rhs = kernel_matrix_genfunc(moms, moms, grid.omega, grid.hbar, t0, t1, drv)
             _write_csv(out_dir / f"kernel_{name}.csv",
                        ["p0", "p", "re_lhs", "im_lhs", "re_rhs", "im_rhs",
                         "ratio_re", "ratio_im"],
-                       _kernel_csv_rows(p0s, ps, lhs, rhs), cfg.seed)
-        print(f"[{name}] " + report.summary_line())
-        summary[name] = report.to_dict()
-        all_ok &= report.passed
+                       _kernel_csv_rows(moms, lhs, rhs), cfg.seed)
+            return compare_kernels(lhs, rhs, tol, params=params)
+        return summary, name, "boundary_kernel_match", params, tols, judge
 
-    # mode bridge: the first two lattice frequencies, each checked as a
-    # single oscillator against the advance phase
-    bridge = {}
-    for k, (g, b) in bridges.items():
-        try:
+    def bridge_mode(k, g, b):
+        """Lattice mode k as a single oscillator, against the advance phase."""
+        params, tols = {"mode": k, "omega": g.omega}, {"bridge": cfg.tol_bridge}
+
+        def judge():
             c_a = cross_coefficient_solver(g, b, _BRIDGE_P, _BRIDGE_P, 0.0, 0.5)
             c_b = cross_coefficient_solver(g, b, _BRIDGE_P, _BRIDGE_P, 0.0, 1.0)
+            st = evolution_functional(space, ModeVector.basis(space, k, 1.0), 0.5,
+                                      calibration=calib)
+            idx = int(np.argmax(np.abs(st.coeffs.b)))
+            predicted = complex(advance(st, 0.5).coeffs.b[idx] / st.coeffs.b[idx])
+            dev = abs(c_b / c_a - predicted)
+            return ResidualReport(identity="mode_bridge", numeric_spread=dev,
+                                  params=params, tolerances=tols,
+                                  verdict="pass" if dev < cfg.tol_bridge else "fail")
+        return summary["bridge"], f"mode_{k}", "mode_bridge", params, tols, judge
+
+    checks = [kernel_case("coincident", 0.0, 0.0, None, cfg.tol_kernel_coincident),
+              kernel_case("gap_1", 0.0, 1.0, None, cfg.tol_kernel_gap),
+              kernel_case("driven", *drive_window, drive, cfg.tol_kernel_gap)]
+    checks += [bridge_mode(k, g, b) for k, (g, b) in bridges.items()]
+    all_ok = True
+    for records, name, identity, params, tols, judge in checks:
+        try:
+            report = judge()
         except RuntimeError as leak:
-            bridge[f"mode_{k}"] = {"omega": g.omega, "verdict": "inconclusive",
-                                   "note": str(leak)}
-            print(f"[bridge k={k}] omega={g.omega:.6f} INCONCLUSIVE  {leak}")
-            all_ok = False
-            continue
-        st = evolution_functional(space, ModeVector.basis(space, k, 1.0), 0.5,
-                                  calibration=calib)
-        idx = int(np.argmax(np.abs(st.coeffs.b)))
-        predicted = complex(advance(st, 0.5).coeffs.b[idx] / st.coeffs.b[idx])
-        dev = abs(c_b / c_a - predicted)
-        ok = dev < cfg.tol_bridge
-        bridge[f"mode_{k}"] = {"omega": g.omega, "deviation": dev,
-                               "verdict": "pass" if ok else "fail"}
-        print(f"[bridge k={k}] omega={g.omega:.6f} phase deviation {dev:.3e} "
-              f"{'PASS' if ok else 'FAIL'}")
-        all_ok &= ok
-    summary["bridge"] = bridge
+            # the solver's one RuntimeError is a boundary leak: amplitude
+            # reaching the grid edge, which leaves that check inconclusive
+            report = ResidualReport(identity=identity, params=params, tolerances=tols,
+                                    verdict="inconclusive", note=str(leak))
+        print(f"[{name}] " + report.summary_line())
+        records[name] = report.to_dict()
+        all_ok &= report.passed
     _write_json(out_dir / "oracle_qm.json", summary)
     return 0 if all_ok else 1
 
@@ -330,13 +327,8 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     reports = []
     all_ok = True
     for state in states:
-        for report in (
-            first_order_residual(state, tol_coeff=cfg.tol_coeff,
-                                 tol_numeric=cfg.tol_numeric, seed=cfg.seed),
-            schrodinger_residual(state, tol_coeff=cfg.tol_schrodinger,
-                                 tol_spread=cfg.tol_spread,
-                                 tol_numeric=cfg.tol_numeric, seed=cfg.seed),
-        ):
+        for check in _CHECKS.values():
+            report = check(cfg, state)
             rows.append(sweep_csv_row(report))
             reports.append(report.to_dict())
             all_ok &= report.passed
@@ -349,11 +341,8 @@ def _cmd_sweep(cfg: RunConfig) -> int:
 
 _COMMANDS = {
     "calibrate": _cmd_calibrate,
-    "verify-first-order": lambda cfg: _verify(
-        cfg, first_order_residual, "first_order", tol_coeff=cfg.tol_coeff),
-    "verify-schrodinger": lambda cfg: _verify(
-        cfg, schrodinger_residual, "schrodinger", tol_coeff=cfg.tol_schrodinger,
-        tol_spread=cfg.tol_spread),
+    "verify-first-order": lambda cfg: _verify(cfg, "first_order"),
+    "verify-schrodinger": lambda cfg: _verify(cfg, "schrodinger"),
     "semigroup": _cmd_semigroup,
     "oracle-qm": _cmd_oracle_qm,
     "sweep": _cmd_sweep,

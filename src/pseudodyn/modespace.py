@@ -106,7 +106,8 @@ class ModeSpace:
 
 def build_mode_space(num_modes: int, box_length: float, mass: float,
                      hbar: float = 1.0) -> ModeSpace:
-    """Construct a validated ModeSpace (momenta and frequencies populated)."""
+    """Construct a validated ModeSpace; its momenta, frequencies and
+    negation are computed on first use."""
     return ModeSpace(num_modes=num_modes, box_length=box_length, mass=mass, hbar=hbar)
 
 

@@ -106,16 +106,15 @@ def advance(state: EvolutionState, dt: float) -> EvolutionState:
                           PairCoefficients(g.a_pair, b, g.c, g.negation), state.calibration)
 
 
-def calibrate(space: ModeSpace,
-              force_lambda: complex | None = None) -> ConventionCalibration:
+def calibrate(space: ModeSpace) -> ConventionCalibration:
     """Solve for the global rescaling closing the first-order equation.
 
     Per mode the requirement is 2 (lambda^2 a_k) omega_k = 1 with a_k the raw
     (uncalibrated, T-independent) pairing coefficient z_exponent(space, 0).uu;
     a_k * omega_k must be mode-independent, so a spread beyond _SPREAD_TOL
     (or a NaN one, from a lattice whose lambda^2 overflows) raises.  The
-    principal root of lambda^2 is taken, unless force_lambda is given; that
-    lambda is recorded as is, after the same spread gate.
+    principal root of lambda^2 is taken; any other lambda is a
+    ConventionCalibration built directly.
     """
     lam2 = 1.0 / (2.0 * z_exponent(space, 0.0).uu * space.frequencies)
     center = lam2.mean()
@@ -125,5 +124,4 @@ def calibrate(space: ModeSpace,
             f"lambda^2 is mode-dependent or not finite (relative spread "
             f"{spread:.3e}); a_k * omega_k should be constant"
         )
-    lam = complex(np.sqrt(center) if force_lambda is None else force_lambda)
-    return ConventionCalibration(lambda_=lam)
+    return ConventionCalibration(lambda_=complex(np.sqrt(center)))

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 
 def _jsonify(value):
+    if value is None or type(value) in (str, float, int, bool):
+        return value
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
     if isinstance(value, (np.floating, np.integer)):
@@ -49,18 +51,7 @@ class ResidualReport:
         return self.verdict == "pass"
 
     def to_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "max_q2": self.max_q2,
-            "max_q1": self.max_q1,
-            "q0": _jsonify(self.q0) if self.q0 is not None else None,
-            "numeric_spread": self.numeric_spread,
-            "fd_residual": self.fd_residual,
-            "params": _jsonify(self.params),
-            "tolerances": _jsonify(self.tolerances),
-            "verdict": self.verdict,
-            "note": self.note,
-        }
+        return {f.name: _jsonify(getattr(self, f.name)) for f in fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

@@ -8,13 +8,10 @@ sampled, so a report does not depend on the seed it records:
   exactly after calibration; every residual coefficient is judged.
 * Schrodinger form: (i h d/dT - H) Phi / Phi with the mode-space Hamiltonian
   H = h sum_k [ q_sign/2 u_k u_{-k} + c_sign/2 omega_k^2 d^2/(du_k du_{-k}) ],
-  that is H = h * H|_{h=1}, must be independent of u; the surviving constant
-  is reported as a function of T, never judged (it is minus the layer part
-  minus the zero-point energy: normal ordering plus the free normalization
-  of the initial-layer factor).
-
-The Hamiltonian pairing signs depend on an unstated spatial transform
-convention, so both are tried and the passing pair recorded.
+  (q_sign, c_sign) = (-1, +1), that is H = h * H|_{h=1}, must be independent
+  of u; the surviving constant is reported as a function of T, never judged
+  (it is minus the layer part minus the zero-point energy: normal ordering
+  plus the free normalization of the initial-layer factor).
 
 States carry A in pair form (a_k = A_{k,-k}, see gaussian.PairCoefficients),
 so both identities are per-mode closed forms and no check builds an N x N
@@ -24,6 +21,11 @@ g_k = c_sign h omega_k^2 / 2, H Phi / Phi has
 
     Q2_k = 4 a_k^2 g_k + q_sign h/2,   Q1_k = 4 a_k g_k b_k,
     Q0 = sum_k b_k g_k b_{-k} + sum_k 2 a_k g_k.
+
+The signs are fixed by the first-order law: at its calibration
+a_k = 1 / (2 omega_k) the judged residuals are Q2_k = (c_sign + q_sign) h/2
+and h omega_k b_k - Q1_k = h omega_k b_k (1 - c_sign), so only (-1, +1)
+closes both.  The pair resolve_hamiltonian_signs finds is a diagnostic.
 
 The dense operators gaussian.apply_first_order / apply_second_order give the
 same polynomials and are the reference the tests compare against.
@@ -55,6 +57,8 @@ __all__ = ["first_order_residual", "schrodinger_residual",
            "resolve_hamiltonian_signs", "gradient_check", "semigroup_check"]
 
 _FD_FLOOR = 1e-300
+# (q_sign, c_sign) of the Hamiltonian the Schrodinger verdict is judged with
+_HAMILTONIAN_SIGNS = (-1, 1)
 # the FD step is this phase over the highest lattice frequency
 _FD_PHASE_STEP = 3e-4
 
@@ -88,13 +92,8 @@ def _fd_residual(fd_rates: np.ndarray, q2: np.ndarray, q1: np.ndarray) -> float:
 
 
 def _base_params(state: EvolutionState, seed: int) -> dict:
-    ms = state.space
-    lam = complex(state.calibration.lambda_)
-    return {
-        "num_modes": ms.num_modes, "mass": ms.mass, "box_length": ms.box_length,
-        "hbar": ms.hbar, "t": state.t,
-        "lambda_re": lam.real, "lambda_im": lam.imag, "seed": seed,
-    }
+    return {**state.space.to_config(), "t": state.t,
+            **state.calibration.to_record(), "seed": seed}
 
 
 def _first_order_rhs(state: EvolutionState) -> tuple[np.ndarray, np.ndarray]:
@@ -158,7 +157,8 @@ def _hamiltonian_q0_parts(state: EvolutionState, g: np.ndarray) -> tuple[complex
 
 
 def resolve_hamiltonian_signs(state: EvolutionState) -> tuple[int, int]:
-    """Pick the pairing signs that zero the judged Schrodinger residuals."""
+    """The pairing signs that best zero the Schrodinger residuals of this
+    state; a diagnostic, since the verdict is judged at _HAMILTONIAN_SIGNS."""
     ms = state.space
     lhs_q1 = ms.hbar * ms.frequencies * state.coeffs.b
     best, best_resid = (1, -1), np.inf
@@ -176,25 +176,27 @@ def schrodinger_residual(state: EvolutionState, tol_coeff: float = 1e-10,
                          seed: int = 0) -> ResidualReport:
     """Residual of the normally ordered Schrodinger form, up to a T function.
 
-    Q2 and Q1 of (i h d/dT - H) Phi / Phi are judged, with the pairing signs
-    that resolve_hamiltonian_signs picks; the constant Q0 is reported as the
-    recovered T function; max_q1 is relative to max(1, |h omega_k b_k|)
-    mode by mode.  The numeric spread column checks u-independence as the
-    residual's exact bound over the box |Re u_k|, |Im u_k| <= 1,
-    sum_k (2 |Q2_k| + sqrt(2) |Q1_k|) / max(1, |Q0|); the fd column
-    re-derives the time derivative by differencing S at the step
-    3e-4 / omega_max (recorded as params["dt_step"]) and is the relative L2
-    error of the coefficient rates of i h dS/dT against those of H Phi / Phi
+    Q2 and Q1 of (i h d/dT - H) Phi / Phi are judged at the pairing signs
+    (-1, +1) the first-order law fixes; the pair resolve_hamiltonian_signs
+    would pick is recorded as params["q_sign"], params["c_sign"].  The
+    constant Q0 is reported as the recovered T function; max_q1 is relative
+    to max(1, |h omega_k b_k|) mode by mode.  The numeric spread column
+    checks u-independence as the residual's exact bound over the box
+    |Re u_k|, |Im u_k| <= 1, sum_k (2 |Q2_k| + sqrt(2) |Q1_k|) / max(1, |Q0|);
+    the fd column re-derives the time derivative by differencing S at the
+    step 3e-4 / omega_max (recorded as params["dt_step"]) and is the relative
+    L2 error of the coefficient rates of i h dS/dT against those of H Phi / Phi
     without its constant.  No u is sampled: seed only labels the report.
     H = h * H|_{h=1}, so with the first-order calibration
     (a_k = 1 / (2 omega_k) at every h) the form closes at any hbar.  The
-    trace part of Q0 is compared with c_sign times the zero-point energy
+    trace part of Q0 is compared with the zero-point energy
     sum_k h omega_k / 2, taken from the frequencies alone, and the gap is
     reported as params["trace_identity_gap"].
     """
     ms = state.space
     h = ms.hbar
-    q_sign, c_sign = resolve_hamiltonian_signs(state)
+    closing_q, closing_c = resolve_hamiltonian_signs(state)
+    q_sign, c_sign = _HAMILTONIAN_SIGNS
     h_q2, h_q1, g = _hamiltonian(state, q_sign, c_sign)
     lhs_q1 = h * ms.frequencies * state.coeffs.b
     resid_q1 = lhs_q1 - h_q1
@@ -215,7 +217,7 @@ def schrodinger_residual(state: EvolutionState, tol_coeff: float = 1e-10,
     params = _base_params(state, seed)
     params.update({
         "dt_step": dt,
-        "q_sign": q_sign, "c_sign": c_sign,
+        "q_sign": closing_q, "c_sign": closing_c,
         "q0_b_part": q0_b_part, "q0_trace": q0_trace,
         "trace_identity_gap": trace_gap,
     })

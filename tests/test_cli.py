@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -11,6 +13,7 @@ import pytest
 import pseudodyn
 from pseudodyn import cli
 from pseudodyn.cli import ConfigError, RunConfig, main
+from pseudodyn.reports import ResidualReport
 
 COMMANDS = ["calibrate", "verify-first-order", "verify-schrodinger", "semigroup",
             "oracle-qm", "sweep"]
@@ -251,6 +254,48 @@ def test_bridge_leak_gives_inconclusive_verdict(tmp_path, monkeypatch):
         assert record["verdict"] == "inconclusive", record
         assert record["note"].startswith("boundary leak"), record
     assert [p.name for p in out.iterdir()] == ["oracle_qm.json"]
+
+
+@pytest.fixture(scope="module")
+def oracle_default(tmp_path_factory):
+    """oracle-qm at the default config: its oracle_qm.json and its stdout."""
+    out = tmp_path_factory.mktemp("oracle") / "r"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["oracle-qm", "--out", str(out)]) == 0
+    return json.loads((out / "oracle_qm.json").read_text()), stdout.getvalue()
+
+
+def test_oracle_qm_records_are_residual_reports(oracle_default):
+    summary, stdout = oracle_default
+    assert sorted(summary) == ["bridge", "coincident", "driven", "gap_1"]
+    records = {name: summary[name] for name in ("coincident", "gap_1", "driven")}
+    records.update(summary["bridge"])
+    assert list(records) == ["coincident", "gap_1", "driven", "mode_0", "mode_1"]
+    report_fields = {f.name for f in fields(ResidualReport)}
+    for name, record in records.items():
+        assert set(record) == report_fields, name
+    lines = stdout.splitlines()
+    assert [line[:line.index("] ")] for line in lines] == [f"[{n}" for n in records]
+    for line, record in zip(lines, records.values()):
+        assert line.split()[1] == f"{record['identity']}:"
+
+
+def test_bridge_fail_path(tmp_path, oracle_default):
+    # a bridge tolerance below the phase deviation fails both modes, and only them
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"tol_bridge": 1e-12}))
+    out = tmp_path / "r"
+    assert main(["oracle-qm", "--config", str(cfg_path), "--out", str(out)]) == 1
+    summary = json.loads((out / "oracle_qm.json").read_text())
+    default = oracle_default[0]
+    for name in ("coincident", "gap_1", "driven"):
+        assert summary[name]["verdict"] == "pass", name
+    assert sorted(summary["bridge"]) == ["mode_0", "mode_1"]
+    for mode, record in summary["bridge"].items():
+        assert record["verdict"] == "fail", record
+        assert record["tolerances"] == {"bridge": 1e-12}
+        assert record["numeric_spread"] == default["bridge"][mode]["numeric_spread"]
 
 
 def test_config_file_and_flag_override(tmp_path):

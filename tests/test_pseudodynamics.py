@@ -43,10 +43,11 @@ def test_calibration_refuses_a_non_finite_lambda():
 
 
 def test_forced_identity_lambda_records_gap(ms):
-    # the gap itself, c2 = -1/2, is what first_order_residual reports as
-    # achieved_c2 (test_verifier)
-    calib = calibrate(ms, force_lambda=1.0)
-    assert complex(calib.lambda_) == 1.0
+    # a forced lambda is a ConventionCalibration built directly, recorded as
+    # given; the gap itself, c2 = -1/2, is what first_order_residual reports
+    # as achieved_c2 (test_verifier)
+    calib = ConventionCalibration(lambda_=1.0)
+    assert calib.to_record() == {"lambda_re": 1.0, "lambda_im": 0.0}
 
 
 def test_zero_initial_layer(ms):

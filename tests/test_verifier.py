@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pseudodyn.verifier as verifier
-from pseudodyn import (GaussianCoefficients, EvolutionState, ModeVector,
-                       PairCoefficients, apply_first_order, apply_second_order,
+from pseudodyn import (ConventionCalibration, GaussianCoefficients,
+                       EvolutionState, ModeVector, PairCoefficients,
+                       apply_first_order, apply_second_order,
                        build_mode_space, calibrate, evaluate,
                        evolution_functional, first_order_residual,
                        gradient_check, log_evaluate,
@@ -156,8 +157,7 @@ def test_identity_reports_independent_of_seed(t):
 def _residual_at(state, us):
     """|(i h d/dT - H) Phi / Phi - Q0| at each row of us, from the pair form."""
     ms = state.space
-    q_sign, c_sign = resolve_hamiltonian_signs(state)
-    h_q2, h_q1, _ = verifier._hamiltonian(state, q_sign, c_sign)
+    h_q2, h_q1, _ = verifier._hamiltonian(state, *verifier._HAMILTONIAN_SIGNS)
     resid_q1 = ms.hbar * ms.frequencies * state.coeffs.b - h_q1
     return np.abs((us * us[:, ms.negation]) @ -h_q2 + us @ resid_q1)
 
@@ -181,9 +181,25 @@ def test_schrodinger_fails_on_wrong_a(state):
 
 
 def test_schrodinger_wrong_signs_fail(state, monkeypatch):
-    monkeypatch.setattr(verifier, "resolve_hamiltonian_signs", lambda st: (1, -1))
+    monkeypatch.setattr(verifier, "_HAMILTONIAN_SIGNS", (1, -1))
     report = schrodinger_residual(state)
     assert not report.passed
+
+
+def test_schrodinger_judges_the_flipped_lambda_at_the_fixed_signs():
+    # lambda real instead of imaginary flips a_k to -1 / (2 omega_k): the pair
+    # (1, -1) would close the Schrodinger residuals, but the first-order law
+    # fixes (-1, 1), where h omega_k b_k - Q1_k = 2 h omega_k b_k
+    ms = build_mode_space(16, 2 * np.pi, 1.0)
+    vec = ModeVector.random(ms, np.random.default_rng(99))
+    v = ModeVector(ms, vec.values / np.linalg.norm(vec.values))
+    flipped = ConventionCalibration(lambda_=complex(np.sqrt(2.0)))
+    state = evolution_functional(ms, v, 1.0, calibration=flipped)
+    report = schrodinger_residual(state)
+    assert not report.passed
+    assert (report.params["q_sign"], report.params["c_sign"]) == (1, -1)
+    assert report.max_q2 < 1e-10 < report.max_q1
+    assert not first_order_residual(state).passed
 
 
 def test_gradient_check_random_sets():
