@@ -12,8 +12,8 @@ from .modespace import ModeSpace, ModeVector, build_mode_space
 from .propagator import (PoleResolutionError, feynman_kernel_closed,
                          feynman_kernel_quadrature, richardson_kernel,
                          truncation_tail)
-from .pseudodynamics import (ConventionCalibration, EvolutionState, advance,
-                             calibrate, evolution_functional)
+from .pseudodynamics import (EvolutionState, advance, calibrate,
+                             evolution_functional)
 from .qm_oracle import (BoundaryFactors, QMGrid, compare_kernels,
                         cross_coefficient_solver, ground_state,
                         kernel_matrix_genfunc, kernel_matrix_solver,

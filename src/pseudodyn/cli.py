@@ -190,11 +190,11 @@ def _emit(report: ResidualReport, out_dir: Path, name: str) -> int:
 
 
 def _cmd_calibrate(cfg: RunConfig) -> int:
-    space, calib, _, _ = _inputs(cfg)
+    space, lam, _, _ = _inputs(cfg)
     out_dir = _out_dir(cfg)
-    payload = {"space": space.to_config(), "calibration": calib.to_record()}
+    payload = {"space": space.to_config(),
+               "calibration": {"lambda_re": lam.real, "lambda_im": lam.imag}}
     _write_json(out_dir / "calibration.json", payload)
-    lam = complex(calib.lambda_)
     print(f"calibration: lambda = {lam.real:+.12g}{lam.imag:+.12g}i")
     return 0
 

@@ -1,4 +1,4 @@
-"""Evolution functionals from delta-pair sources, and convention calibration.
+"""Evolution functionals from delta-pair sources, and their calibration.
 
 Substituting the two-layer source (final layer u at time T, initial layer
 -v at time 0) into the free generating functional and reading the result
@@ -19,11 +19,11 @@ evolution equation
     i dPhi/dT = sum_k u_k ( omega_k d/du_k - u_{-k} ) Phi
 
 as written; a single global rescaling u -> lambda*u closes the gap.
-``calibrate`` solves for lambda algebraically from the raw coefficients
-(lambda^2 * 2 omega_k A_{k,-k} = 1, mode-independent by the 1/omega law);
-the omega_k d/du_k term closes for any lambda, since i db/dT = omega b holds
-exactly.  The quadratic constant a lambda actually achieves is measured
-where it is judged, by verifier.first_order_residual (achieved_c2).
+The calibration is that one complex number: ``calibrate`` solves for lambda
+from the raw coefficients (lambda^2 * 2 omega_k A_{k,-k} = 1, mode-independent
+by the 1/omega law); the omega_k d/du_k term closes for any lambda, since
+i db/dT = omega b holds exactly.  The quadratic constant a lambda achieves is
+measured where it is judged, by verifier.first_order_residual (achieved_c2).
 """
 
 from __future__ import annotations
@@ -36,62 +36,39 @@ from .gaussian import PairCoefficients
 from .modespace import ModeSpace, ModeVector
 from .sources import contract_v, exponent_coefficients, z_exponent
 
-__all__ = ["ConventionCalibration", "EvolutionState", "evolution_functional",
-           "advance", "calibrate"]
+__all__ = ["EvolutionState", "evolution_functional", "advance", "calibrate"]
 
 _SPREAD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class ConventionCalibration:
-    """Global rescaling u -> lambda u of the raw exponent.
-
-    Only lambda is recorded: the quadratic constant it achieves is reported
-    by verifier.first_order_residual.  The energy-transform sign is not
-    recorded either: the closed-form kernel, and with it every coefficient,
-    is the same for either sign.
-    """
-
-    lambda_: complex
-
-    def __post_init__(self):
-        if self.lambda_ == 0:
-            raise ValueError("lambda must be nonzero")
-
-    def to_record(self) -> dict:
-        return {
-            "lambda_re": complex(self.lambda_).real,
-            "lambda_im": complex(self.lambda_).imag,
-        }
-
-
-@dataclass(frozen=True)
 class EvolutionState:
     """Gaussian coefficients of Phi(T, .), in pair form, together with
-    their provenance."""
+    their provenance; calibration is the lambda they were read at."""
 
     space: ModeSpace
     t: float
     v_hat: ModeVector
     coeffs: PairCoefficients
-    calibration: ConventionCalibration
+    calibration: complex
 
 
 def evolution_functional(space: ModeSpace, v_hat: ModeVector, t: float,
-                         calibration: ConventionCalibration | None = None) -> EvolutionState:
+                         calibration: complex = 1.0) -> EvolutionState:
     """Build Phi(T, .) from the initial layer data v at T0 = 0.
 
     It is z_exponent(space, T) with v contracted, read at lambda u: one
-    sources.contract_v, at lambda = 1 when no calibration is given.
-    Negative T is rejected by the window-order rule of
-    sources.exponent_coefficients: the kernel's |tau| would fold it onto
-    +|T|, and the two boundary weights are not orientation-symmetric.
+    sources.contract_v.  lambda is calibration, 1.0 (the raw exponent) by
+    default; zero or non-finite is refused.  Negative T is rejected by the
+    window-order rule of sources.exponent_coefficients: the kernel's |tau|
+    would fold it onto +|T|, and the boundary weights are not orientation-
+    symmetric.
     """
-    if calibration is None:
-        calibration = ConventionCalibration(lambda_=1.0)
+    if calibration == 0 or not np.isfinite(calibration):
+        raise ValueError(f"lambda must be finite and nonzero, got {calibration}")
     coefficients = exponent_coefficients(space.frequencies, space.negation,
                                          space.hbar, 0.0, t)
-    g = contract_v(coefficients, v_hat.values, space.negation, calibration.lambda_)
+    g = contract_v(coefficients, v_hat.values, space.negation, calibration)
     return EvolutionState(space, float(t), v_hat, g, calibration)
 
 
@@ -106,15 +83,15 @@ def advance(state: EvolutionState, dt: float) -> EvolutionState:
                           PairCoefficients(g.a_pair, b, g.c, g.negation), state.calibration)
 
 
-def calibrate(space: ModeSpace) -> ConventionCalibration:
-    """Solve for the global rescaling closing the first-order equation.
+def calibrate(space: ModeSpace) -> complex:
+    """Solve for the global rescaling lambda closing the first-order equation.
 
     Per mode the requirement is 2 (lambda^2 a_k) omega_k = 1 with a_k the raw
     (uncalibrated, T-independent) pairing coefficient z_exponent(space, 0).uu;
     a_k * omega_k must be mode-independent, so a spread beyond _SPREAD_TOL
     (or a NaN one, from a lattice whose lambda^2 overflows) raises.  The
-    principal root of lambda^2 is taken; any other lambda is a
-    ConventionCalibration built directly.
+    principal root of lambda^2 is returned; any other lambda is passed to
+    evolution_functional as a plain number.
     """
     lam2 = 1.0 / (2.0 * z_exponent(space, 0.0).uu * space.frequencies)
     center = lam2.mean()
@@ -124,4 +101,4 @@ def calibrate(space: ModeSpace) -> ConventionCalibration:
             f"lambda^2 is mode-dependent or not finite (relative spread "
             f"{spread:.3e}); a_k * omega_k should be constant"
         )
-    return ConventionCalibration(lambda_=complex(np.sqrt(center)))
+    return complex(np.sqrt(center))

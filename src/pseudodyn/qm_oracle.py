@@ -117,15 +117,19 @@ def ground_state(grid: QMGrid) -> np.ndarray:
     Rayleigh quotient).  float64 floors the residual near 1e-12 on the
     default grids; a box too small for the vacuum's width wraps its tails
     around the periodic grid and fails the gate (omega 0.3 on [-12, 12]
-    reaches 8e-9).
+    reaches 8e-9).  A vacuum that underflows at every grid point is refused
+    before it is normalized.
     """
     psi = np.exp(-0.5 * grid.omega / grid.hbar * grid.q**2)
-    psi /= grid.norm(psi)
+    norm = grid.norm(psi)
+    if not norm > 0:
+        raise RuntimeError("ground state underflows at every grid point")
+    psi /= norm
     kin = 0.5 * grid.hbar**2 * grid.wavenumbers**2
     h_psi = np.fft.ifft(kin * np.fft.fft(psi)).real + grid.potential * psi
     energy = (psi @ h_psi) / (psi @ psi)
     residual = grid.norm(h_psi - energy * psi)
-    if residual > _EIGEN_TOL:
+    if not residual <= _EIGEN_TOL:  # NaN fails it
         raise RuntimeError(
             f"ground state eigen-residual {residual:.3e} above {_EIGEN_TOL:g}; "
             "enlarge the grid"
@@ -143,15 +147,14 @@ class BoundaryFactors:
 
     def __post_init__(self):
         for name in ("left", "right"):
-            arr = np.asarray(getattr(self, name))
-            arr = arr.copy()
+            arr = np.array(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @classmethod
     def vacuum(cls, grid: QMGrid) -> "BoundaryFactors":
         psi = ground_state(grid)
-        return cls(left=psi, right=psi.copy())
+        return cls(left=psi, right=psi)
 
 
 def _check_edges(rows: np.ndarray, where: str):
@@ -276,11 +279,11 @@ def propagate_driven(psi0: np.ndarray, grid: QMGrid, t_initial: float,
 
 def check_band(grid: QMGrid, *p_arrays):
     """Refuse momenta the endpoint transform e^{i p q / h} cannot resolve:
-    any |p / h| above the grid's p_band_limit."""
+    any |p / h| above the grid's p_band_limit, or NaN."""
     limit = grid.p_band_limit
     for arr in p_arrays:
         arr = np.asarray(arr, dtype=float)
-        if arr.size and np.max(np.abs(arr / grid.hbar)) > limit:
+        if arr.size and not np.max(np.abs(arr / grid.hbar)) <= limit:
             raise ValueError(
                 f"momentum grid exceeds the resolvable band |p| <= {grid.hbar * limit:g}"
             )

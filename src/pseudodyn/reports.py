@@ -77,25 +77,19 @@ SWEEP_CSV_COLUMNS = [
     "max_q2", "max_q1", "q0_re", "q0_im",
     "numeric_spread", "fd_residual", "verdict",
 ]
+# the columns written with str; every other one is a float written with repr
+_STR_COLUMNS = ("identity", "num_modes", "seed", "verdict")
 
 
 def sweep_csv_row(report: ResidualReport) -> str:
-    p = report.params
+    """One sweep.csv line: each column read from the report's params, its
+    fields or the parts of q0 (nan + 0j when unset); a missing value is empty."""
     q0 = report.q0 if report.q0 is not None else complex("nan")
+    values = {**report.params, **vars(report), "q0_re": q0.real, "q0_im": q0.imag}
 
-    def num(x):
-        return "" if x is None else repr(float(x))
-
-    fields = [
-        report.identity,
-        str(p.get("num_modes", "")),
-        num(p.get("mass")), num(p.get("box_length")), num(p.get("hbar")),
-        num(p.get("t")),
-        num(p.get("lambda_re")), num(p.get("lambda_im")),
-        str(p.get("seed", "")),
-        num(report.max_q2), num(report.max_q1),
-        num(q0.real), num(q0.imag),
-        num(report.numeric_spread), num(report.fd_residual),
-        report.verdict,
-    ]
-    return ",".join(fields)
+    def cell(column):
+        x = values.get(column)
+        if x is None:
+            return ""
+        return str(x) if column in _STR_COLUMNS else repr(float(x))
+    return ",".join(cell(column) for column in SWEEP_CSV_COLUMNS)

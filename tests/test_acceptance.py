@@ -7,9 +7,8 @@ import time
 
 import numpy as np
 
-from pseudodyn import (BoundaryFactors, ConventionCalibration,
-                       GaussianCoefficients, EvolutionState, ModeVector,
-                       PairCoefficients, QMGrid, advance,
+from pseudodyn import (BoundaryFactors, GaussianCoefficients, EvolutionState,
+                       ModeVector, PairCoefficients, QMGrid, advance,
                        build_mode_space, calibrate, compare_kernels,
                        cross_coefficient_solver, evolution_functional,
                        feynman_kernel_closed, feynman_kernel_quadrature,
@@ -197,7 +196,7 @@ def test_criterion_8_negative_controls():
     ok &= not schrodinger_residual(broken).passed
 
     # (b) flip the sign of lambda^2 (lambda real instead of imaginary)
-    flipped = ConventionCalibration(lambda_=complex(np.sqrt(2.0)))
+    flipped = complex(np.sqrt(2.0))
     state_flipped = evolution_functional(space, layer, 1.0, calibration=flipped)
     ok &= not first_order_residual(state_flipped).passed
     ok &= not schrodinger_residual(state_flipped).passed

@@ -37,15 +37,22 @@ def test_module_run_executes_command(tmp_path):
     assert (out / "calibration.json").is_file()
 
 
-def test_calibrate_writes_record(tmp_path):
-    out = tmp_path / "r"
-    assert main(["calibrate", "--out", str(out)]) == 0
-    payload = json.loads((out / "calibration.json").read_text())
-    assert payload["calibration"]["lambda_im"] == pytest.approx(np.sqrt(2.0))
-    # lambda alone: the constant it achieves is first_order_residual's achieved_c2
-    assert sorted(payload["calibration"]) == ["lambda_im", "lambda_re"]
-    assert payload["space"] == {"num_modes": 16, "box_length": 2.0 * np.pi,
-                                "mass": 1.0, "hbar": 1.0}
+def test_calibrate_writes_record(tmp_path, capsys):
+    for hbar in (1.0, 0.5):
+        out = tmp_path / repr(hbar)
+        assert main(["calibrate", "--out", str(out), "--hbar", repr(hbar)]) == 0
+        payload = json.loads((out / "calibration.json").read_text())
+        assert payload["calibration"]["lambda_im"] == pytest.approx(np.sqrt(2.0 * hbar))
+        # lambda alone: the constant it achieves is first_order_residual's achieved_c2
+        assert sorted(payload["calibration"]) == ["lambda_im", "lambda_re"]
+        assert payload["space"] == {"num_modes": 16, "box_length": 2.0 * np.pi,
+                                    "mass": 1.0, "hbar": hbar}
+        # the record is calibrate's number, unrounded, and stdout prints it
+        lam = pseudodyn.calibrate(pseudodyn.build_mode_space(16, 2.0 * np.pi, 1.0, hbar))
+        assert repr(payload["calibration"]["lambda_re"]) == repr(lam.real)
+        assert repr(payload["calibration"]["lambda_im"]) == repr(lam.imag)
+        assert capsys.readouterr().out == (
+            f"calibration: lambda = {lam.real:+.12g}{lam.imag:+.12g}i\n")
 
 
 def test_verify_commands_pass(tmp_path):

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from pseudodyn import (ConventionCalibration, ModeVector, advance,
-                       build_mode_space, calibrate, evolution_functional,
-                       z_exponent)
+from pseudodyn import (ModeVector, advance, build_mode_space, calibrate,
+                       evolution_functional, first_order_residual, z_exponent)
 from pseudodyn.sources import contract_v
 
 
@@ -23,15 +22,15 @@ def test_raw_pairing_is_quarter_inverse_omega(ms):
 
 
 def test_calibration_solves_lambda(ms):
-    calib = calibrate(ms)
+    lam = calibrate(ms)
     # lambda^2 = -2 at h = 1, principal root i*sqrt(2)
-    assert complex(calib.lambda_) == pytest.approx(1j * np.sqrt(2.0))
+    assert type(lam) is complex
+    assert lam == pytest.approx(1j * np.sqrt(2.0))
 
 
 def test_calibration_lambda_scales_with_hbar():
     ms2 = build_mode_space(8, 2 * np.pi, 1.0, hbar=3.0)
-    calib = calibrate(ms2)
-    assert complex(calib.lambda_) ** 2 == pytest.approx(-6.0)
+    assert calibrate(ms2) ** 2 == pytest.approx(-6.0)
 
 
 def test_calibration_refuses_a_non_finite_lambda():
@@ -43,11 +42,13 @@ def test_calibration_refuses_a_non_finite_lambda():
 
 
 def test_forced_identity_lambda_records_gap(ms):
-    # a forced lambda is a ConventionCalibration built directly, recorded as
-    # given; the gap itself, c2 = -1/2, is what first_order_residual reports
-    # as achieved_c2 (test_verifier)
-    calib = ConventionCalibration(lambda_=1.0)
-    assert calib.to_record() == {"lambda_re": 1.0, "lambda_im": 0.0}
+    # a forced lambda is a plain number, recorded as given; the gap itself,
+    # c2 = -1/2, is what first_order_residual reports as achieved_c2
+    # (test_verifier)
+    st = evolution_functional(ms, unit_random(ms, 1), 1.0, calibration=1.0)
+    assert st.calibration == 1.0
+    params = first_order_residual(st).params
+    assert (params["lambda_re"], params["lambda_im"]) == (1.0, 0.0)
 
 
 def test_zero_initial_layer(ms):
@@ -161,11 +162,10 @@ def test_advance_rejects_non_finite_dt(ms):
 def test_build_is_the_rescaled_z_exponent_contraction(n, hbar, t):
     # the direct build equals the public log-Z reader read at lambda * u
     space = build_mode_space(n, 2 * np.pi, 1.0, hbar=hbar)
-    calib = calibrate(space)
+    lam = calibrate(space)
     v = unit_random(space, 7)
-    got = evolution_functional(space, v, t, calib).coeffs
+    got = evolution_functional(space, v, t, lam).coeffs
     ref = contract_v(z_exponent(space, t), v.values, space.negation)
-    lam = complex(calib.lambda_)
     assert np.array_equal(got.a_pair, lam * lam * ref.a_pair)
     assert np.array_equal(got.b, lam * ref.b)
     assert got.c == ref.c
@@ -179,6 +179,8 @@ def test_build_refuses_non_finite_coefficients():
             evolution_functional(tiny, ModeVector.zeros(tiny), 1.0)
 
 
-def test_calibration_validation():
-    with pytest.raises(ValueError):
-        ConventionCalibration(lambda_=0.0)
+def test_calibration_validation(ms):
+    # lambda enters a state only here: zero and non-finite are refused
+    for lam in (0.0, np.nan, np.inf, complex(1.0, np.nan), complex(-np.inf, 1.0)):
+        with pytest.raises(ValueError, match="lambda must be finite and nonzero"):
+            evolution_functional(ms, unit_random(ms, 1), 1.0, calibration=lam)

@@ -9,7 +9,7 @@ from pseudodyn import (BoundaryFactors, QMGrid, compare_kernels,
                        cross_coefficient_solver, ground_state,
                        kernel_matrix_genfunc, kernel_matrix_solver,
                        propagate_driven)
-from pseudodyn.qm_oracle import _EIGEN_TOL, qm_drive_from_csv
+from pseudodyn.qm_oracle import _EIGEN_TOL, check_band, qm_drive_from_csv
 
 
 @pytest.fixture(scope="module")
@@ -260,7 +260,7 @@ def test_circulant_hamiltonian_matches_fft_of_identity(grid, vacuum):
     _assert_lowest_eigenvector(grid, vacuum)
 
 
-def test_ground_state_cached_per_grid_and_read_only(grid, vacuum):
+def test_ground_state_fresh_per_grid_and_read_only(grid, vacuum):
     # no cache: an equal grid gives an equal, fresh array, so a caller
     # writing into its state reaches no other caller; the read-only copies
     # are BoundaryFactors'
@@ -270,6 +270,7 @@ def test_ground_state_cached_per_grid_and_read_only(grid, vacuum):
     fresh[0] = 1.0
     assert np.array_equal(ground_state(same), vacuum)
     bf = BoundaryFactors.vacuum(grid)
+    assert bf.left is not bf.right
     for arr in (bf.left, bf.right):
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -285,6 +286,16 @@ def test_ground_state_refuses_box_too_small():
     with pytest.raises(RuntimeError, match="eigen-residual"):
         ground_state(QMGrid(q_min=-12.0, q_max=12.0, n_points=1024, dt=1e-3,
                             omega=0.3))
+
+
+def test_ground_state_refuses_an_underflowed_vacuum():
+    # width sqrt(h / omega) = 1e-5, far below the spacing, and no point on
+    # q = 0: exp(-omega q^2 / (2 h)) is 0 everywhere and would normalize to NaN
+    tiny = QMGrid(-12.001, 12.0, 1024, 1e-6, 1e4, 1e-6)
+    with pytest.raises(RuntimeError, match="underflows"):
+        ground_state(tiny)
+    with pytest.raises(RuntimeError, match="underflows"):
+        BoundaryFactors.vacuum(tiny)
 
 
 def test_coincident_kernel_matches_analytic_gaussian(grid, boundary):
@@ -342,9 +353,12 @@ def test_empty_momentum_grids(grid, boundary):
 
 
 def test_band_limit_enforced(grid, boundary):
-    with pytest.raises(ValueError):
-        kernel_matrix_solver(grid, boundary, [grid.p_band_limit * 1.5], [0.0],
-                             0.0, 0.0)
+    # a NaN momentum is refused like one beyond the band
+    for p in (grid.p_band_limit * 1.5, np.nan):
+        with pytest.raises(ValueError, match="resolvable band"):
+            check_band(grid, [0.0], [p])
+        with pytest.raises(ValueError, match="resolvable band"):
+            kernel_matrix_solver(grid, boundary, [p], [0.0], 0.0, 0.0)
 
 
 def test_kernel_identity_drive_free_gap(grids):

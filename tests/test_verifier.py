@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pseudodyn.verifier as verifier
-from pseudodyn import (ConventionCalibration, GaussianCoefficients,
-                       EvolutionState, ModeVector, PairCoefficients,
-                       apply_first_order, apply_second_order,
+from pseudodyn.reports import ResidualReport, sweep_csv_row
+from pseudodyn import (GaussianCoefficients, EvolutionState, ModeVector,
+                       PairCoefficients, apply_first_order, apply_second_order,
                        build_mode_space, calibrate, evaluate,
                        evolution_functional, first_order_residual,
                        gradient_check, log_evaluate,
@@ -193,7 +193,7 @@ def test_schrodinger_judges_the_flipped_lambda_at_the_fixed_signs():
     ms = build_mode_space(16, 2 * np.pi, 1.0)
     vec = ModeVector.random(ms, np.random.default_rng(99))
     v = ModeVector(ms, vec.values / np.linalg.norm(vec.values))
-    flipped = ConventionCalibration(lambda_=complex(np.sqrt(2.0)))
+    flipped = complex(np.sqrt(2.0))
     state = evolution_functional(ms, v, 1.0, calibration=flipped)
     report = schrodinger_residual(state)
     assert not report.passed
@@ -281,6 +281,21 @@ def test_report_json_round_trip(state):
     assert payload["identity"] == "first_order_evolution"
     assert payload["verdict"] == "pass"
     assert payload["params"]["seed"] == 0
+
+
+def test_sweep_csv_row_schema():
+    # str for identity, num_modes, seed and verdict, repr(float) for the
+    # rest, empty for a missing value; a missing q0 is written as nan + 0j
+    report = ResidualReport(
+        identity="first_order_evolution", max_q2=np.float64(1e-17), q0=0.5 - 2j,
+        fd_residual=3e-9, verdict="fail",
+        params={"num_modes": np.int64(8), "mass": 1, "box_length": 2.0,
+                "hbar": 0.5, "t": 1.0, "lambda_re": 0.0, "lambda_im": 1.0,
+                "seed": 42, "dt_step": 1e-4})
+    assert sweep_csv_row(report) == ("first_order_evolution,8,1.0,2.0,0.5,1.0,"
+                                     "0.0,1.0,42,1e-17,,0.5,-2.0,,3e-09,fail")
+    bare = ResidualReport(identity="semigroup", numeric_spread=1e-13)
+    assert sweep_csv_row(bare) == "semigroup,,,,,,,,,,,nan,0.0,1e-13,,pass"
 
 
 def _calibrated(n, mass, box, t, seed=99):
