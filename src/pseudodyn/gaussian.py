@@ -21,9 +21,9 @@ a_k = A_{k,-k} per mode together with the negation permutation, so that
     S(u) = sum_k a_k u_k u_{-k}  +  b.u  +  c
 
 costs O(N).  Its builders hand over a_pair with a_k = a_{-k} already exact,
-so it is not re-symmetrized.  The dense A is built only when a caller reads
-``.a``; the dense GaussianCoefficients and the operators above stay the
-generic reference.
+so it is not re-symmetrized, and no dense A is built from it.  The dense
+GaussianCoefficients and the operators above stay the generic reference
+that the tests compare the pair forms against.
 """
 
 from __future__ import annotations
@@ -62,11 +62,8 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianCoefficients:
-    """Exponent data (A, b, c) of a complex Gaussian functional.
-
-    A is symmetrized exactly at construction; for the states built in this
-    package it is supported on the (k, -k) pairings only.
-    """
+    """Exponent data (A, b, c) of a complex Gaussian functional; A is
+    symmetrized exactly at construction."""
 
     a: np.ndarray
     b: np.ndarray
@@ -119,18 +116,6 @@ class PairCoefficients:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", complex(self.c))
         object.__setattr__(self, "negation", neg)
-
-    @property
-    def dim(self) -> int:
-        return self.a_pair.shape[0]
-
-    @property
-    def a(self) -> np.ndarray:
-        """The dense N x N matrix A, built on every read."""
-        a = np.zeros((self.dim, self.dim), dtype=complex)
-        a[np.arange(self.dim), self.negation] = self.a_pair
-        a.setflags(write=False)
-        return a
 
 
 @dataclass(frozen=True)

@@ -176,7 +176,8 @@ def _check_edges(rows: np.ndarray, where: str):
 def checked_drive(drive, span: float, dt: float) -> np.ndarray:
     """The drive as a float array, refused unless it is 1D with >= 2 finite
     uniform samples over a window of positive length span, spaced no finer
-    than the solver step dt (the solver reads one drive value per step)."""
+    than the solver step dt (one drive value per step), in finitely many
+    steps span / dt (dt = 0: no solver)."""
     drive = np.asarray(drive, dtype=float)
     if drive.ndim != 1 or drive.size < 2:
         raise ValueError("drive must be a 1D array with >= 2 samples")
@@ -185,6 +186,8 @@ def checked_drive(drive, span: float, dt: float) -> np.ndarray:
         raise ValueError(f"drive sample {bad[0]} is {drive[bad[0]]}, not finite")
     if not span > 0:
         raise ValueError(f"drive window must have positive length, got {span:g}")
+    if dt > 0 and not span / dt < np.inf:
+        raise ValueError(f"drive window {span:g} overflows the step count at dt={dt}")
     sample_step = span / (drive.size - 1)
     if dt > sample_step + 1e-15:
         raise ValueError(
@@ -384,7 +387,7 @@ def cross_coefficient_solver(grid: QMGrid, boundary: BoundaryFactors,
 
 def qm_drive_from_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Load a scalar drive from CSV columns (t, value) below one header line;
-    times must be uniform."""
+    times must be finite and uniform."""
     rows = Path(path).read_text().splitlines()[1:]
     # loadtxt only warns on a file without data, and reads "#" as a comment
     if not any(row.split("#", 1)[0].strip() for row in rows):
@@ -393,6 +396,8 @@ def qm_drive_from_csv(path) -> tuple[np.ndarray, np.ndarray]:
     if raw.shape[1] != 2:
         raise ValueError("drive CSV must have columns t, value")
     t = raw[:, 0]
+    if not np.isfinite(t).all():
+        raise ValueError("drive CSV times must be finite")
     if t.size < 2 or not np.allclose(np.diff(t), t[1] - t[0], rtol=1e-9, atol=1e-12):
         raise ValueError("drive CSV time grid must be uniform with >= 2 samples")
     return t, raw[:, 1]

@@ -101,8 +101,8 @@ def test_criterion_4_evolution_structure():
     layer = unit_random_layer(space, 5)
     states = {t: evolution_functional(space, layer, t, calibration=calib)
               for t in GRID_TIMES}
-    a_ref = states[GRID_TIMES[0]].coeffs.a
-    ok = all(np.array_equal(a_ref, s.coeffs.a) for s in states.values())
+    a_ref = states[GRID_TIMES[0]].coeffs.a_pair
+    ok = all(np.array_equal(a_ref, s.coeffs.a_pair) for s in states.values())
 
     b0 = evolution_functional(space, layer, 0.0, calibration=calib).coeffs.b
     for t, s in states.items():

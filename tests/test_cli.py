@@ -128,6 +128,9 @@ BAD_INPUTS = [
     ("oracle-qm", ["--drive-file", str(DATA / "drive_nan.csv")], None),
     ("oracle-qm", ["--drive-file", str(DATA / "drive_inf.csv")], None),
     ("oracle-qm", ["--drive-file", str(DATA / "drive_header_only.csv")], None),
+    # an infinite drive time, and a window whose step count overflows
+    ("oracle-qm", ["--drive-file", str(DATA / "drive_time_inf.csv")], None),
+    ("oracle-qm", ["--drive-file", str(DATA / "drive_time_overflow.csv")], None),
     # an empty sweep axis checks nothing
     ("sweep", [], {"sweep_modes": []}),
     ("sweep", [], {"sweep_masses": []}),

@@ -56,7 +56,7 @@ def test_zero_initial_layer(ms):
     st0 = evolution_functional(ms, ModeVector.zeros(ms), 0.3, calibration=calib)
     st1 = evolution_functional(ms, ModeVector.zeros(ms), 7.0, calibration=calib)
     assert np.allclose(st0.coeffs.b, 0.0)
-    assert np.array_equal(st0.coeffs.a, st1.coeffs.a)
+    assert np.array_equal(st0.coeffs.a_pair, st1.coeffs.a_pair)
     assert st0.coeffs.c == st1.coeffs.c == 0.0
 
 
@@ -65,7 +65,7 @@ def test_t_zero_matches_direct_substitution(ms):
     st = evolution_functional(ms, v, 0.0)
     zx = z_exponent(ms, 0.0)
     g = contract_v(zx, v.values, ms.negation)
-    assert np.array_equal(st.coeffs.a, g.a)
+    assert np.array_equal(st.coeffs.a_pair, g.a_pair)
     assert np.array_equal(st.coeffs.b, g.b)
     assert st.coeffs.c == g.c
 
@@ -86,11 +86,9 @@ def test_b_phase_law(ms):
 def test_a_pairing_support_and_constancy(ms):
     calib = calibrate(ms)
     st = evolution_functional(ms, unit_random(ms, 2), 1.0, calibration=calib)
-    a = st.coeffs.a
-    mask = np.zeros_like(a, dtype=bool)
-    mask[np.arange(ms.num_modes), ms.negation] = True
-    assert np.all(a[~mask] == 0.0)
-    pair = a[np.arange(ms.num_modes), ms.negation]
+    # A is carried as one a_k = A_{k,-k} per mode, on the lattice's pairing
+    assert np.array_equal(st.coeffs.negation, ms.negation)
+    pair = st.coeffs.a_pair
     assert np.allclose(2.0 * pair * ms.frequencies, 1.0, atol=1e-14)
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pseudodyn.verifier as verifier
+from pseudodyn.cli import RunConfig
 from pseudodyn.reports import ResidualReport, sweep_csv_row
 from pseudodyn import (GaussianCoefficients, EvolutionState, ModeVector,
                        PairCoefficients, apply_first_order, apply_second_order,
@@ -78,8 +79,13 @@ def test_first_order_detects_uncalibrated_state(state):
     assert report.params["achieved_c2"] == pytest.approx(-0.5)
 
 
+def _closing_signs(table):
+    """The "q,c" key of the smallest entry of a sign-residual table."""
+    return min(table, key=table.get)
+
+
 def test_hamiltonian_signs_resolve(state):
-    assert resolve_hamiltonian_signs(state) == (-1, 1)
+    assert _closing_signs(resolve_hamiltonian_signs(state)) == "-1,+1"
 
 
 def test_schrodinger_passes_calibrated(state):
@@ -125,7 +131,7 @@ def test_schrodinger_passes_at_hbar_other_than_one():
             st = evolution_functional(ms, v, t, calibration=calibrate(ms))
             report = schrodinger_residual(st)
             assert report.passed, (hbar, n, mass, t, report.to_dict())
-            assert (report.params["q_sign"], report.params["c_sign"]) == (-1, 1)
+            assert _closing_signs(report.params["sign_residuals"]) == "-1,+1"
             trace = report.params["q0_trace"]
             assert report.params["trace_identity_gap"] <= 1e-12 * max(1.0, abs(trace))
             assert first_order_residual(st).passed
@@ -157,9 +163,9 @@ def test_identity_reports_independent_of_seed(t):
 def _residual_at(state, us):
     """|(i h d/dT - H) Phi / Phi - Q0| at each row of us, from the pair form."""
     ms = state.space
-    h_q2, h_q1, _ = verifier._hamiltonian(state, *verifier._HAMILTONIAN_SIGNS)
-    resid_q1 = ms.hbar * ms.frequencies * state.coeffs.b - h_q1
-    return np.abs((us * us[:, ms.negation]) @ -h_q2 + us @ resid_q1)
+    x, y, _ = verifier._hamiltonian(state)
+    resid_q1 = ms.hbar * ms.frequencies * state.coeffs.b - y
+    return np.abs((us * us[:, ms.negation]) @ -(x - 0.5 * ms.hbar) + us @ resid_q1)
 
 
 def test_spread_bounds_every_sampled_residual(state):
@@ -180,16 +186,19 @@ def test_schrodinger_fails_on_wrong_a(state):
     assert report.numeric_spread > 1e-5
 
 
-def test_schrodinger_wrong_signs_fail(state, monkeypatch):
-    monkeypatch.setattr(verifier, "_HAMILTONIAN_SIGNS", (1, -1))
-    report = schrodinger_residual(state)
-    assert not report.passed
+def test_schrodinger_wrong_signs_fail(state):
+    # the calibrated state closes the form at (-1, +1) alone: at each of the
+    # other three sign pairs its residual exceeds the Schrodinger tolerance
+    tol = RunConfig().tol_schrodinger
+    table = schrodinger_residual(state).params["sign_residuals"]
+    assert table["-1,+1"] < tol
+    assert all(table[key] > tol for key in ("+1,+1", "+1,-1", "-1,-1")), table
 
 
 def test_schrodinger_judges_the_flipped_lambda_at_the_fixed_signs():
     # lambda real instead of imaginary flips a_k to -1 / (2 omega_k): the pair
-    # (1, -1) would close the Schrodinger residuals, but the first-order law
-    # fixes (-1, 1), where h omega_k b_k - Q1_k = 2 h omega_k b_k
+    # (+1, -1) has the smallest residual, but the first-order law fixes
+    # (-1, +1), where h omega_k b_k - Q1_k = 2 h omega_k b_k
     ms = build_mode_space(16, 2 * np.pi, 1.0)
     vec = ModeVector.random(ms, np.random.default_rng(99))
     v = ModeVector(ms, vec.values / np.linalg.norm(vec.values))
@@ -197,7 +206,7 @@ def test_schrodinger_judges_the_flipped_lambda_at_the_fixed_signs():
     state = evolution_functional(ms, v, 1.0, calibration=flipped)
     report = schrodinger_residual(state)
     assert not report.passed
-    assert (report.params["q_sign"], report.params["c_sign"]) == (1, -1)
+    assert _closing_signs(report.params["sign_residuals"]) == "+1,-1"
     assert report.max_q2 < 1e-10 < report.max_q1
     assert not first_order_residual(state).passed
 
@@ -315,24 +324,36 @@ def _assert_close(pair, dense, tol=1e-15):
     assert np.all(np.abs(pair - dense) <= tol * np.maximum(1.0, np.abs(dense)))
 
 
+def _dense(state):
+    """The state's exponent as the dense reference GaussianCoefficients."""
+    g = state.coeffs
+    return GaussianCoefficients(_pairing(state.space, g.a_pair), g.b, g.c)
+
+
 def _assert_pair_form_matches_dense(state):
     """Per-mode closed forms of the verifier against the dense reference."""
     ms = state.space
-    dense = GaussianCoefficients(state.coeffs.a, state.coeffs.b, state.coeffs.c)
+    dense = _dense(state)
     w = ms.frequencies
     ref = apply_first_order(dense, w, shift=-_pairing(ms, np.ones(ms.num_modes)))
     q2, q1 = verifier._first_order_rhs(state)
     _assert_close(_pairing(ms, q2), ref.q2)
     _assert_close(q1, ref.q1)
     assert ref.q0 == 0.0
-    for q_sign in (1, -1):
-        for c_sign in (1, -1):
-            q2, q1, g = verifier._hamiltonian(state, q_sign, c_sign)
-            ref = apply_second_order(dense, _pairing(ms, g),
-                                     _pairing(ms, np.full(ms.num_modes, 0.5 * q_sign)))
-            _assert_close(_pairing(ms, q2), ref.q2)
-            _assert_close(q1, ref.q1)
-            _assert_close(sum(verifier._hamiltonian_q0_parts(state, g)), ref.q0)
+    # every entry of the sign table against H Phi / Phi at its sign pair
+    x, y, g = verifier._hamiltonian(state)
+    lhs_q1 = ms.hbar * w * state.coeffs.b
+    table = verifier.resolve_hamiltonian_signs(state)
+    assert len(table) == 4
+    for key, entry in table.items():
+        q, c = (int(sign) for sign in key.split(","))
+        ref = apply_second_order(dense, _pairing(ms, c * g),
+                                 _pairing(ms, np.full(ms.num_modes, 0.5 * q * ms.hbar)))
+        _assert_close(_pairing(ms, c * x + 0.5 * q * ms.hbar), ref.q2)
+        _assert_close(c * y, ref.q1)
+        _assert_close(sum(verifier._hamiltonian_q0_parts(state, c * g)), ref.q0)
+        ref_entry = max(np.abs(ref.q2).max(), np.abs(lhs_q1 - ref.q1).max())
+        _assert_close(np.array([entry]), ref_entry)
 
 
 def test_pair_form_matches_dense_algebra_on_acceptance_grid():
@@ -367,9 +388,10 @@ def test_fd_column_survives_exponent_overflow(state):
     # a 300x layer takes |Re S| of the sampled u to about 4500
     big = _scaled_layer(state, 300.0)
     us = u_draws(state.space.num_modes, 16, 0)
-    worst = max(us, key=lambda u: abs(log_evaluate(big.coeffs, u).real))
+    dense = _dense(big)
+    worst = max(us, key=lambda u: abs(log_evaluate(dense, u).real))
     with pytest.raises(OverflowError):
-        evaluate(big.coeffs, worst)
+        evaluate(dense, worst)
     for check in (first_order_residual, schrodinger_residual):
         report = check(big)
         assert np.isfinite(report.fd_residual)
@@ -391,7 +413,23 @@ def test_one_sided_stencil_at_t_zero(state, monkeypatch):
         report = check(st0)
         assert report.passed, report.summary_line()
         dt = report.params["dt_step"]
-        assert built == [dt, 2.0 * dt]
+        assert built == [0.0, dt, 2.0 * dt]
+
+
+@pytest.mark.parametrize("t, shift", [(0.0, 1e-9), (1e-6, 1e-9), (1.0, 1e-6)])
+def test_fd_column_never_reads_the_state_constant(t, shift):
+    # a constant added to S leaves both linear identities intact, so no
+    # column may read the state's own c; below T = dt the one-sided stencil
+    # weighs S(T) by -3, so there S(T) must come from a rebuild
+    clean = _calibrated(16, 1.0, 2 * np.pi, t, seed=3)
+    g = clean.coeffs
+    shifted = EvolutionState(clean.space, clean.t, clean.v_hat,
+                             PairCoefficients(g.a_pair, g.b, g.c + shift, g.negation),
+                             clean.calibration)
+    for check in (first_order_residual, schrodinger_residual):
+        report = check(shifted)
+        assert report.passed, (t, report.summary_line())
+        assert report.fd_residual == check(clean).fd_residual
 
 
 def _rate_fault(monkeypatch, eps):
