@@ -22,7 +22,7 @@ from .pseudodynamics import advance, calibrate, evolution_functional
 from .qm_oracle import (BoundaryFactors, QMGrid, check_band, checked_drive,
                         compare_kernels, cross_coefficient_solver,
                         kernel_matrix_genfunc, kernel_matrix_solver,
-                        qm_drive_from_csv)
+                        qm_drive_from_csv, step_count)
 from .reports import SWEEP_CSV_COLUMNS, ResidualReport, sweep_csv_row
 from .verifier import (first_order_residual, schrodinger_residual,
                        semigroup_check)
@@ -255,6 +255,9 @@ def _cmd_oracle_qm(cfg: RunConfig) -> int:
                            lambda: _vacuum_grid(cfg, space.frequency(k), _BRIDGE_P))
                for k in _BRIDGE_MODES}
     drive_window, drive = _checked("drive_file", lambda: _oracle_drive(cfg))
+    # gap_1 and the bridges run to t = 1, the driven case over its window
+    _checked("qm_dt", lambda: step_count(max(1.0, drive_window[1] - drive_window[0]),
+                                         cfg.qm_dt))
     out_dir = _out_dir(cfg)
     summary = {"bridge": {}}
 

@@ -29,13 +29,19 @@ def require_real(name: str, value):
         raise TypeError(f"{name} must be a real number (not a bool), got {value!r}")
 
 
+# most modes a lattice may have.  The identity checks hold about 330 bytes
+# per mode (+328 MB at N = 2^20), so the cap bounds a run near 1.4 GB
+MAX_MODES = 2**22
+
+
 @dataclass(frozen=True)
 class ModeSpace:
     """Finite set of spatial momentum modes with their frequencies.
 
     A strictly positive mass is required: the massless zero mode would make
-    omega = 0 and every 1/omega kernel singular.  Instances are immutable
-    (derived arrays are read-only) and safe to share between threads.
+    omega = 0 and every 1/omega kernel singular.  num_modes is capped at
+    MAX_MODES.  Instances are immutable (derived arrays are read-only) and
+    safe to share between threads.
     """
 
     num_modes: int
@@ -47,6 +53,8 @@ class ModeSpace:
         n = self.num_modes
         if not isinstance(n, (int, np.integer)) or n < 2 or n % 2 != 0:
             raise ValueError(f"num_modes must be a positive even integer >= 2, got {n!r}")
+        if n > MAX_MODES:
+            raise ValueError(f"num_modes must be at most {MAX_MODES} (2^22), got {n}")
         for name in ("box_length", "mass", "hbar"):
             require_real(name, getattr(self, name))
         if not self.box_length > 0:

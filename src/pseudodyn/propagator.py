@@ -19,13 +19,14 @@ converges geometrically (the pole lies outside a Bernstein ellipse of fixed
 size; Trefethen, SIAM Review 50, 2008), and the node count grows as
 log(1/eps) plus log(e_cut) at tau = 0 or e_cut |tau| / (4 pi).  It exists
 only to check the closed form; the closed form never takes eps as an
-argument.  The 1/(2pi) normalization is fixed.
+argument.  The 1/(2pi) normalization is fixed.  The 20-point panel rule is
+a fixed table equal to numpy's leggauss(20), pinned by a test, so no path
+here calls LAPACK.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache
 
 import numpy as np
 
@@ -93,16 +94,28 @@ def kernel_trapezoid_sums(x, y, t_initial: float, t_final: float, omegas):
     return d0 * at_initial, d0 * turn * at_final, d0 * double
 
 
-_PANEL_NODES = 20   # Gauss-Legendre nodes per panel
-
-
-@cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the _PANEL_NODES-point Gauss-Legendre rule on
-    [-1, 1].  numpy.polynomial is imported here, at the first quadrature
-    call, so that importing pseudodyn does not load it."""
-    from numpy.polynomial.legendre import leggauss
-    return leggauss(_PANEL_NODES)
+# The 20-point Gauss-Legendre rule on [-1, 1]: the positive half of
+# numpy.polynomial.legendre.leggauss(20), bit for bit, mirrored as leggauss
+# itself symmetrizes it.  leggauss solves the Golub-Welsch eigenproblem
+# through LAPACK, loading numpy.polynomial and LAPACK's buffers at its first
+# call; the table keeps both off the criterion-1 path.
+_GL_POSITIVE = np.array([   # node, weight
+    [0.07652652113349734, 0.15275338713072628],
+    [0.22778585114164507, 0.14917298647260424],
+    [0.37370608871541955, 0.1420961093183824],
+    [0.5108670019508271, 0.1316886384491769],
+    [0.636053680726515, 0.1181945319615186],
+    [0.7463319064601508, 0.1019301198172407],
+    [0.8391169718222188, 0.08327674157670471],
+    [0.912234428251326, 0.06267204833410879],
+    [0.9639719272779138, 0.040601429800386446],
+    [0.993128599185095, 0.017614007139150893],
+])
+_GL_NODES = np.concatenate([-_GL_POSITIVE[::-1, 0], _GL_POSITIVE[:, 0]])
+_GL_WEIGHTS = np.concatenate([_GL_POSITIVE[::-1, 1], _GL_POSITIVE[:, 1]])
+_GL_NODES.setflags(write=False)
+_GL_WEIGHTS.setflags(write=False)
+_PANEL_NODES = _GL_NODES.size   # Gauss-Legendre nodes per panel
 
 
 def feynman_kernel_quadrature(omega: float, tau: float, eps: float, e_cut: float,
@@ -116,7 +129,8 @@ def feynman_kernel_quadrature(omega: float, tau: float, eps: float, e_cut: float
     of half-width d is centred on it; every other panel is no longer than
     its distance to the pole nor than cap = 4 pi/|tau| (no cap at tau = 0).
     So [0, e_cut] holds about log2(omega/d) + log2(min(e_cut, cap)/d) panels
-    doubling in length and e_cut/cap uniform ones, 20 nodes each.
+    doubling in length and e_cut/cap uniform ones, 20 nodes each from the
+    fixed table _GL_NODES, _GL_WEIGHTS (numpy's leggauss(20)).
 
     n_points is the caller's node budget.  The mesh's node count is worked
     out from its panel counts before any array is built; if it exceeds the
@@ -156,11 +170,10 @@ def feynman_kernel_quadrature(omega: float, tau: float, eps: float, e_cut: float
                     for end, g, c in zip(ends, grown, capped))
     edges = np.concatenate([omega - below[::-1], omega + above])
     edges[[0, -1]] = 0.0, e_cut
-    x, w = _gauss_legendre()
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = mid[:, None] + half[:, None] * x
-    weights = half[:, None] * w
+    nodes = mid[:, None] + half[:, None] * _GL_NODES
+    weights = half[:, None] * _GL_WEIGHTS
     f = np.cos(abs(tau) * nodes) / (nodes * nodes - omega * omega + 1j * eps)
     # the factor 2 of the fold cancels against the 1/(2pi); a plain weighted
     # sum: a BLAS dot of this length runs threaded, and OpenBLAS leaves its

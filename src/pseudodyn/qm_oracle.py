@@ -47,6 +47,12 @@ _EDGE_CHECK_STRIDE = 200
 # ran 0.3-0.96x as fast with 4096 values per chunk (256 to 2048 points) and
 # 1.16-1.47x with 8192
 _MIN_CHUNK_VALUES = 8192
+# most split steps one propagate_driven window may take.  A driven window
+# holds two float arrays of one value per step, 160 MB at the budget; each
+# step is two FFTs per row, 6-7.5 us each at 1024 points on a 2-core Xeon,
+# so the budget is 2-2.5 minutes per row, over an hour for the 32 rows of
+# an oracle-qm kernel case
+_MAX_STEPS = 10**7
 _EIGEN_TOL = 1e-10
 _KERNEL_FLOOR = 1e-8
 
@@ -173,11 +179,22 @@ def _check_edges(rows: np.ndarray, where: str):
         )
 
 
+def step_count(span: float, dt: float) -> int:
+    """Split steps of at most dt over a window of length span > 0, refused
+    above the step budget _MAX_STEPS (a NaN or infinite count included)
+    before any per-step array is built."""
+    steps = span / dt
+    if not steps <= _MAX_STEPS:
+        raise ValueError(f"a window of length {span:g} needs {steps:.3g} steps at "
+                         f"dt={dt}, above the step budget of {_MAX_STEPS:.0e}")
+    return int(np.ceil(steps - 1e-12))
+
+
 def checked_drive(drive, span: float, dt: float) -> np.ndarray:
     """The drive as a float array, refused unless it is 1D with >= 2 finite
     uniform samples over a window of positive length span, spaced no finer
-    than the solver step dt (one drive value per step), in finitely many
-    steps span / dt (dt = 0: no solver)."""
+    than the solver step dt (one drive value per step), in at most the step
+    budget's steps span / dt (dt = 0: no solver)."""
     drive = np.asarray(drive, dtype=float)
     if drive.ndim != 1 or drive.size < 2:
         raise ValueError("drive must be a 1D array with >= 2 samples")
@@ -186,8 +203,8 @@ def checked_drive(drive, span: float, dt: float) -> np.ndarray:
         raise ValueError(f"drive sample {bad[0]} is {drive[bad[0]]}, not finite")
     if not span > 0:
         raise ValueError(f"drive window must have positive length, got {span:g}")
-    if dt > 0 and not span / dt < np.inf:
-        raise ValueError(f"drive window {span:g} overflows the step count at dt={dt}")
+    if dt > 0:
+        step_count(span, dt)
     sample_step = span / (drive.size - 1)
     if dt > sample_step + 1e-15:
         raise ValueError(
@@ -211,7 +228,9 @@ def propagate_driven(psi0: np.ndarray, grid: QMGrid, t_initial: float,
     Strang splitting with the exact spectral kinetic factor: unitary by
     construction and second order in dt.  The drive is a uniformly sampled
     real function on [t_initial, t_final]; samples are interpolated at the
-    step midpoints.  Aborts if any row's amplitude reaches the grid edges.
+    step midpoints.  A window of more than _MAX_STEPS steps is refused
+    before any per-step array is built.  Aborts if any row's amplitude
+    reaches the grid edges.
 
     Step n is half_n K half_n with half_n = exp(i (theta + dt j_n q / (2 h)))
     and theta = -dt V / (2 h).  Adjacent half-steps are fused into one
@@ -235,27 +254,26 @@ def propagate_driven(psi0: np.ndarray, grid: QMGrid, t_initial: float,
         return psi
     if drive is not None:
         drive = checked_drive(drive, span, grid.dt)
-    n_steps = int(np.ceil(span / grid.dt - 1e-12))
+    n_steps = step_count(span, grid.dt)
     dt = span / n_steps
     kin_factor = np.exp(-1j * dt * grid.hbar * grid.wavenumbers**2 / 2.0)
-    t_mid = t_initial + (np.arange(n_steps) + 0.5) * dt
-    if drive is None:
-        j_mid = np.zeros(n_steps)
-    else:
-        t_samples = np.linspace(t_initial, t_final, drive.size)
-        j_mid = np.interp(t_mid, t_samples, drive)
+    j_first = j_last = 0.0   # a drive-free window builds no per-step array
+    if drive is not None:
+        t_mid = t_initial + (np.arange(n_steps) + 0.5) * dt
+        j_mid = np.interp(t_mid, np.linspace(t_initial, t_final, drive.size), drive)
+        j_first, j_last = j_mid[0], j_mid[-1]
     q = grid.q / grid.hbar   # the source couples as (i/h) j q
     theta = -0.5 * dt * grid.potential / grid.hbar
     full = np.exp(2j * theta)   # fused half-steps, drive-free
 
     def evolve(rows: np.ndarray):
-        rows *= np.exp(1j * (theta + 0.5 * dt * j_mid[0] * q))
+        rows *= np.exp(1j * (theta + 0.5 * dt * j_first * q))
         for step in range(n_steps):
             np.fft.fft(rows, axis=-1, out=rows)
             rows *= kin_factor
             np.fft.ifft(rows, axis=-1, out=rows)
             if step == n_steps - 1:
-                rows *= np.exp(1j * (theta + 0.5 * dt * j_mid[step] * q))
+                rows *= np.exp(1j * (theta + 0.5 * dt * j_last * q))
             elif drive is None:
                 rows *= full
             else:

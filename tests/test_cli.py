@@ -128,9 +128,17 @@ BAD_INPUTS = [
     ("oracle-qm", ["--drive-file", str(DATA / "drive_nan.csv")], None),
     ("oracle-qm", ["--drive-file", str(DATA / "drive_inf.csv")], None),
     ("oracle-qm", ["--drive-file", str(DATA / "drive_header_only.csv")], None),
-    # an infinite drive time, and a window whose step count overflows
+    # an infinite drive time, a window whose step count overflows, and one
+    # whose step count is finite but above the step budget
     ("oracle-qm", ["--drive-file", str(DATA / "drive_time_inf.csv")], None),
     ("oracle-qm", ["--drive-file", str(DATA / "drive_time_overflow.csv")], None),
+    ("oracle-qm", ["--drive-file", str(DATA / "drive_time_huge.csv")], None,
+     "drive_file: ", "step budget"),
+    # a step so fine that the fixed windows exceed the step budget
+    ("oracle-qm", [], {"qm_dt": 1e-300}, "qm_dt: ", "step budget"),
+    # lattices above the mode cap
+    ("verify-first-order", ["--modes", str(2**22 + 2)], None, "num_modes must be at most"),
+    ("sweep", [], {"sweep_modes": [8, 2**23]}, "sweep_modes", "num_modes must be at most"),
     # an empty sweep axis checks nothing
     ("sweep", [], {"sweep_modes": []}),
     ("sweep", [], {"sweep_masses": []}),

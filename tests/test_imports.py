@@ -11,14 +11,18 @@ import pseudodyn
 def test_import_loads_no_scipy():
     # the library depends on numpy alone; scipy is a test-side reference.
     # Importing it starts no thread and loads no thread pool: the oracle's
-    # row split imports concurrent.futures only when it runs, and the
-    # quadrature oracle loads numpy.polynomial at its first call
+    # row split imports concurrent.futures only when it runs.  The
+    # quadrature oracle's Gauss-Legendre rule is a fixed table, so not even
+    # a criterion-1 kernel loads numpy.polynomial (leggauss's LAPACK
+    # eigensolve)
     src = str(Path(pseudodyn.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = ("import sys, threading, pseudodyn\n"
             "assert threading.active_count() == 1, threading.enumerate()\n"
             "assert 'concurrent.futures' not in sys.modules\n"
+            "assert 'numpy.polynomial' not in sys.modules\n"
+            "pseudodyn.richardson_kernel(1.0, 0.7)\n"
             "assert 'numpy.polynomial' not in sys.modules\n"
             "print(sorted(m for m in sys.modules "
             "if m == 'scipy' or m.startswith('scipy.')))")

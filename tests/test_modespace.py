@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pseudodyn import ModeSpace, ModeVector, build_mode_space
+from pseudodyn.modespace import MAX_MODES
 
 
 def test_n2_momenta_and_frequencies():
@@ -41,6 +42,15 @@ def test_invalid_construction_rejected(bad):
     kwargs.update(bad)
     with pytest.raises(ValueError):
         ModeSpace(**kwargs)
+
+
+def test_num_modes_capped():
+    # the cap is refused by its field before any array is built; the cap
+    # itself builds (its arrays are made on first use)
+    assert ModeSpace(MAX_MODES, 1.0, 1.0).num_modes == 2**22
+    for n in (MAX_MODES + 2, 10**9):
+        with pytest.raises(ValueError, match=f"num_modes must be at most {MAX_MODES}"):
+            ModeSpace(n, 1.0, 1.0)
 
 
 def test_out_of_range_index_rejected():

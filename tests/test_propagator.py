@@ -2,12 +2,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy import integrate, special
 
 from pseudodyn import (PoleResolutionError, feynman_kernel_closed,
                        feynman_kernel_quadrature, richardson_kernel,
                        truncation_tail)
-from pseudodyn.propagator import _e1_aux
+from pseudodyn.propagator import _GL_NODES, _GL_WEIGHTS, _e1_aux
+
+
+def test_panel_rule_is_leggauss_20():
+    # the fixed table is numpy's 20-point rule bit for bit, and read-only
+    nodes, weights = leggauss(20)
+    assert np.array_equal(_GL_NODES, nodes)
+    assert np.array_equal(_GL_WEIGHTS, weights)
+    for table in (_GL_NODES, _GL_WEIGHTS):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
 
 
 def test_closed_form_frozen_values():

@@ -9,7 +9,8 @@ from pseudodyn import (BoundaryFactors, QMGrid, compare_kernels,
                        cross_coefficient_solver, ground_state,
                        kernel_matrix_genfunc, kernel_matrix_solver,
                        propagate_driven)
-from pseudodyn.qm_oracle import _EIGEN_TOL, check_band, qm_drive_from_csv
+from pseudodyn.qm_oracle import (_EIGEN_TOL, check_band, checked_drive,
+                                 qm_drive_from_csv, step_count)
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +124,18 @@ def test_drive_sampled_finer_than_dt_rejected(grid, vacuum):
     # dt must not exceed the drive sample step
     with pytest.raises(ValueError):
         propagate_driven(vacuum.astype(complex), grid, 0.0, 1.0, np.zeros(10001))
+
+
+def test_window_above_step_budget_rejected(grid, vacuum):
+    # refused by the step budget before any per-step array is built, with
+    # a drive and without one
+    with pytest.raises(ValueError, match="above the step budget"):
+        propagate_driven(vacuum.astype(complex), grid, 0.0, 1e300)
+    with pytest.raises(ValueError, match="above the step budget"):
+        propagate_driven(vacuum.astype(complex), grid, 0.0, 1e300, np.zeros(2))
+    with pytest.raises(ValueError, match="above the step budget"):
+        checked_drive(np.zeros(2), 1e6, 1e-3)
+    assert step_count(1e4, 1e-3) == 10**7
 
 
 def test_single_sample_drive_rejected(grid, vacuum):
