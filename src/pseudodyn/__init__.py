@@ -14,13 +14,12 @@ from .propagator import (PoleResolutionError, feynman_kernel_closed,
                          truncation_tail)
 from .pseudodynamics import (EvolutionState, advance, calibrate,
                              evolution_functional)
-from .qm_oracle import (BoundaryFactors, QMGrid, compare_kernels,
-                        cross_coefficient_solver, ground_state,
-                        kernel_matrix_genfunc, kernel_matrix_solver,
-                        propagate_driven)
+from .qm_oracle import (BoundaryFactors, QMGrid, cross_coefficient_solver,
+                        ground_state, kernel_matrix_genfunc,
+                        kernel_matrix_solver, propagate_driven)
 from .reports import ResidualReport
 from .sources import ZExponent, z_exponent
-from .verifier import (first_order_residual, gradient_check,
+from .verifier import (compare_kernels, first_order_residual, gradient_check,
                        resolve_hamiltonian_signs, schrodinger_residual,
                        semigroup_check)
 

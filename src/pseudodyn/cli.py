@@ -20,12 +20,11 @@ import numpy as np
 from .modespace import ModeSpace, ModeVector, build_mode_space, require_real
 from .pseudodynamics import advance, calibrate, evolution_functional
 from .qm_oracle import (BoundaryFactors, QMGrid, check_band, checked_drive,
-                        compare_kernels, cross_coefficient_solver,
-                        kernel_matrix_genfunc, kernel_matrix_solver,
-                        qm_drive_from_csv, step_count)
+                        cross_coefficient_solver, kernel_matrix_genfunc,
+                        kernel_matrix_solver, step_count)
 from .reports import SWEEP_CSV_COLUMNS, ResidualReport, sweep_csv_row
-from .verifier import (first_order_residual, schrodinger_residual,
-                       semigroup_check)
+from .verifier import (compare_kernels, first_order_residual,
+                       schrodinger_residual, semigroup_check)
 
 
 class ConfigError(ValueError):
@@ -149,6 +148,24 @@ def _vacuum_grid(cfg: RunConfig, omega: float, *momenta):
                   cfg.qm_points, cfg.qm_dt, omega, cfg.hbar)
     check_band(grid, *momenta)
     return grid, BoundaryFactors.vacuum(grid)
+
+
+def qm_drive_from_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Load a scalar drive from CSV columns (t, value) below one header line;
+    times must be finite and uniform."""
+    rows = Path(path).read_text().splitlines()[1:]
+    # loadtxt only warns on a file without data, and reads "#" as a comment
+    if not any(row.split("#", 1)[0].strip() for row in rows):
+        raise ValueError("drive CSV has no samples below its header")
+    raw = np.loadtxt(rows, delimiter=",", ndmin=2)
+    if raw.shape[1] != 2:
+        raise ValueError("drive CSV must have columns t, value")
+    t = raw[:, 0]
+    if not np.isfinite(t).all():
+        raise ValueError("drive CSV times must be finite")
+    if t.size < 2 or not np.allclose(np.diff(t), t[1] - t[0], rtol=1e-9, atol=1e-12):
+        raise ValueError("drive CSV time grid must be uniform with >= 2 samples")
+    return t, raw[:, 1]
 
 
 def _oracle_drive(cfg: RunConfig):

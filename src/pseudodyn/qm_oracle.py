@@ -23,28 +23,27 @@ comparison is up to a constant, their normalization never enters.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
 from .modespace import require_real
-from .reports import ResidualReport
 from .sources import exponent_coefficients
 
 __all__ = [
     "QMGrid", "BoundaryFactors", "ground_state", "propagate_driven",
-    "kernel_matrix_solver", "kernel_matrix_genfunc",
-    "compare_kernels", "cross_coefficient_solver", "qm_drive_from_csv",
+    "kernel_matrix_solver", "kernel_matrix_genfunc", "cross_coefficient_solver",
 ]
 
 _EDGE_TOL = 1e-8
 _EDGE_CHECK_STRIDE = 200
-# fewest complex values (rows x points) a worker thread of propagate_driven
-# takes.  Each numpy call holds the GIL for its Python-side overhead, so
-# small chunks serialize on it: on a 2-core Xeon, two threads against one
-# ran 0.3-0.96x as fast with 4096 values per chunk (256 to 2048 points) and
+# fewest complex values (rows x points) in one chunk of propagate_driven.
+# The calling thread evolves the first chunk, one plain thread each other.
+# Each numpy call holds the GIL for its Python-side overhead, so small
+# chunks serialize on it: on a 2-core Xeon, two threads against one ran
+# 0.3-0.96x as fast with 4096 values per chunk (256 to 2048 points) and
 # 1.16-1.47x with 8192
 _MIN_CHUNK_VALUES = 8192
 # most split steps one propagate_driven window may take.  A driven window
@@ -54,7 +53,6 @@ _MIN_CHUNK_VALUES = 8192
 # an oracle-qm kernel case
 _MAX_STEPS = 10**7
 _EIGEN_TOL = 1e-10
-_KERNEL_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -80,6 +78,13 @@ class QMGrid:
             value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"{name} must be positive, got {value}")
+        # an infinite bound or width leaves inf * 0 = NaN in q, an infinite
+        # hbar a flat vacuum whose eigen-residual is NaN
+        width = self.q_max - self.q_min
+        for name, value in (("q_min", self.q_min), ("q_max", self.q_max),
+                            ("q_max - q_min", width), ("hbar", self.hbar)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.dt > 0.01 / self.omega + 1e-15:
             raise ValueError(
                 f"dt={self.dt} too coarse; need dt <= 0.01/omega = {0.01 / self.omega:g}"
@@ -163,13 +168,17 @@ class BoundaryFactors:
         return cls(left=psi, right=psi)
 
 
-def _check_edges(rows: np.ndarray, where: str):
+def _check_edges(rows: np.ndarray, where: str, mags: np.ndarray):
     """Raise if any row's edge amplitude exceeds _EDGE_TOL of that row's own
     peak, so a faint row cannot hide behind a bright one and the verdict
-    does not depend on how the rows are batched."""
-    mags = np.abs(rows)
-    peak = mags.max(axis=-1)
-    edge = np.maximum(mags[:, :2].max(axis=-1), mags[:, -2:].max(axis=-1))
+    does not depend on how the rows are batched.  Magnitudes are taken one
+    row at a time into the caller's one-row float buffer mags."""
+    peak = np.empty(len(rows))
+    edge = np.empty(len(rows))
+    for i, row in enumerate(rows):
+        np.abs(row, out=mags)
+        peak[i] = mags.max()
+        edge[i] = np.maximum(mags[:2].max(), mags[-2:].max())
     leaking = edge > _EDGE_TOL * peak
     if leaking.any():
         ratio = (edge[leaking] / peak[leaking]).max()
@@ -239,63 +248,98 @@ def propagate_driven(psi0: np.ndarray, grid: QMGrid, t_initial: float,
 
     Rows are independent wave functions.  They are cut into contiguous
     chunks of at least _MIN_CHUNK_VALUES values, at most one per available
-    CPU, and each chunk runs the loop in its own thread (numpy's FFTs and
-    ufuncs release the GIL).  Every row sees the same operations in the
-    same order whatever the chunking, so results are bit-identical to a
-    single-threaded run.
+    CPU.  The calling thread runs the first chunk and one plain thread runs
+    each other chunk (numpy's FFTs and ufuncs release the GIL); all of them
+    are joined before the first error in chunk order is raised.  Every row
+    sees the same operations in the same order whatever the chunking, so
+    results are bit-identical to a single-threaded run.  psi0 is copied
+    once and the copy is evolved in place.
     """
+    psi = np.array(psi0, dtype=complex, order="C")
+    _propagate_in_place(psi, grid, t_initial, t_final, drive)
+    return psi
+
+
+def _propagate_in_place(psi0, grid, t_initial, t_final, drive=None):
+    """propagate_driven's solver: evolves the C-contiguous complex array
+    psi0 in place, with the same arguments and refusals."""
     if t_final < t_initial:
         raise ValueError("t_final must be >= t_initial")
-    psi = np.array(psi0, dtype=complex, order="C")
-    if psi.shape[-1] != grid.n_points:
+    if psi0.shape[-1] != grid.n_points:
         raise ValueError("psi0 last axis must match the grid")
     span = t_final - t_initial
     if span == 0:
-        return psi
+        return
     if drive is not None:
         drive = checked_drive(drive, span, grid.dt)
     n_steps = step_count(span, grid.dt)
     dt = span / n_steps
     kin_factor = np.exp(-1j * dt * grid.hbar * grid.wavenumbers**2 / 2.0)
-    j_first = j_last = 0.0   # a drive-free window builds no per-step array
-    if drive is not None:
-        t_mid = t_initial + (np.arange(n_steps) + 0.5) * dt
-        j_mid = np.interp(t_mid, np.linspace(t_initial, t_final, drive.size), drive)
-        j_first, j_last = j_mid[0], j_mid[-1]
     q = grid.q / grid.hbar   # the source couples as (i/h) j q
     theta = -0.5 * dt * grid.potential / grid.hbar
-    full = np.exp(2j * theta)   # fused half-steps, drive-free
+    if drive is None:   # a drive-free window builds no per-step array
+        j_first = j_last = 0.0
+        full = np.exp(2j * theta)   # fused half-steps
+    else:
+        j_mid = np.interp(t_initial + (np.arange(n_steps) + 0.5) * dt,
+                          np.linspace(t_initial, t_final, drive.size), drive)
+        j_first, j_last = j_mid[0], j_mid[-1]
+        two_theta = 2.0 * theta
 
-    def evolve(rows: np.ndarray):
-        rows *= np.exp(1j * (theta + 0.5 * dt * j_first * q))
-        for step in range(n_steps):
-            np.fft.fft(rows, axis=-1, out=rows)
-            rows *= kin_factor
-            np.fft.ifft(rows, axis=-1, out=rows)
-            if step == n_steps - 1:
-                rows *= np.exp(1j * (theta + 0.5 * dt * j_last * q))
-            elif drive is None:
-                rows *= full
-            else:
-                rows *= np.exp(1j * (2.0 * theta
-                                     + 0.5 * dt * (j_mid[step] + j_mid[step + 1]) * q))
-            if step % _EDGE_CHECK_STRIDE == _EDGE_CHECK_STRIDE - 1:
-                _check_edges(rows, f"at step {step + 1}/{n_steps}")
-        _check_edges(rows, "at final time")
+    def evolve(rows):
+        phase = np.empty(grid.n_points, dtype=complex)   # this thread's own
 
-    rows = psi.reshape(-1, grid.n_points)   # a view: chunks write into psi
+        def phase_at(base, j):
+            """exp(1j * (base + 0.5 * dt * j * q)), by the same operations."""
+            np.add(base, np.multiply(0.5 * dt * j, q, out=phase.real), out=phase.real)
+            phase.imag = 0.0
+            return np.exp(np.multiply(phase, 1j, out=phase), out=phase)
+
+        # numpy's ufunc buffer (per thread) cut to at most one row, a
+        # multiple of 16: a batch times a per-point factor then runs in
+        # place, where the default 8192 values copied it through a 128 KB
+        # buffer at half the speed (16 x 1024, 2-core Xeon)
+        with np.errstate():
+            np.setbufsize(min(np.getbufsize(), grid.n_points - grid.n_points % 16))
+            rows *= phase_at(theta, j_first)
+            for step in range(n_steps):
+                np.fft.fft(rows, axis=-1, out=rows)
+                rows *= kin_factor
+                np.fft.ifft(rows, axis=-1, out=rows)
+                if step == n_steps - 1:
+                    rows *= phase_at(theta, j_last)
+                elif drive is None:
+                    rows *= full
+                else:
+                    rows *= phase_at(two_theta, j_mid[step] + j_mid[step + 1])
+                if step % _EDGE_CHECK_STRIDE == _EDGE_CHECK_STRIDE - 1:
+                    _check_edges(rows, f"at step {step + 1}/{n_steps}", phase.real)
+            _check_edges(rows, "at final time", phase.real)
+
+    rows = psi0.reshape(-1, grid.n_points)   # a view: chunks write into psi0
     min_rows = -(-_MIN_CHUNK_VALUES // grid.n_points)
-    n_chunks = max(1, min(_available_cpus(), len(rows) // min_rows))
-    if n_chunks == 1:
-        evolve(rows)
-        return psi
-    from concurrent.futures import ThreadPoolExecutor   # not loaded by import pseudodyn
-    with ThreadPoolExecutor(max_workers=n_chunks) as pool:
-        futures = [pool.submit(evolve, chunk)
-                   for chunk in np.array_split(rows, n_chunks)]
-    for future in futures:
-        future.result()
-    return psi
+    chunks = np.array_split(rows, max(1, min(_available_cpus(), len(rows) // min_rows)))
+    errors = [None] * len(chunks)
+
+    def run(i):
+        try:
+            evolve(chunks[i])
+        except Exception as err:   # raised below, once every worker has joined
+            errors[i] = err
+
+    workers = []
+    try:
+        for i in range(1, len(chunks)):
+            worker = threading.Thread(target=run, args=(i,))
+            worker.start()
+            workers.append(worker)
+        run(0)
+    finally:
+        for worker in workers:
+            worker.join()
+    for err in errors:
+        if err is not None:
+            raise err
 
 
 def check_band(grid: QMGrid, *p_arrays):
@@ -317,23 +361,35 @@ def kernel_matrix_solver(grid: QMGrid, boundary: BoundaryFactors,
 
     For each p0 the initial wave function psi_L(q) e^{-i p0 q / h} is
     evolved through the window, weighted by psi_R, and transformed with
-    e^{+i p q / h}.  All p0 columns evolve together as one batch.  Every
-    step works in place, so at most three (rows x points) arrays are alive,
-    and einsum contracts: a threaded BLAS zgemm would leave a worker spinning.
+    e^{+i p q / h}.  All p0 rows are built into one complex batch, which
+    evolves together in place (propagate_driven's solver, without its copy)
+    and is then weighted in place.  The endpoint transform is built one
+    e^{i p q / h} dq column per p and contracted with np.einsum, numpy's own
+    loop: a threaded BLAS call would leave a worker spinning.  So at most
+    the batch and one column are alive, besides the result.
     """
     p0s = np.atleast_1d(np.asarray(p0_values, dtype=float))
     ps = np.atleast_1d(np.asarray(p_values, dtype=float))
     check_band(grid, p0s, ps)
     q = grid.q
-    batch = -1j * np.outer(p0s, q)
-    np.exp(np.divide(batch, grid.hbar, out=batch), out=batch)
-    batch *= boundary.left
-    batch = propagate_driven(batch, grid, t_initial, t_final, drive)
-    batch *= boundary.right
-    transform = 1j * np.outer(q, ps)
-    np.exp(np.divide(transform, grid.hbar, out=transform), out=transform)
-    transform *= grid.dq
-    return np.einsum("rq,qp->rp", batch, transform)
+    batch = np.empty((p0s.size, q.size), dtype=complex)
+    for row, p0 in zip(batch, p0s):   # psi_L e^{-i p0 q / h}, as (p0 q + 0i) (-i) / h
+        np.multiply(p0, q, out=row)
+        row *= -1j
+        np.exp(np.divide(row, grid.hbar, out=row), out=row)
+        row *= boundary.left
+    _propagate_in_place(batch, grid, t_initial, t_final, drive)
+    for row in batch:
+        row *= boundary.right
+    kernel = np.empty((p0s.size, ps.size), dtype=complex)
+    column = np.empty(q.size, dtype=complex)
+    for j, p in enumerate(ps):   # e^{i p q / h} dq, one column at a time
+        np.multiply(q, p, out=column)
+        column *= 1j
+        np.exp(np.divide(column, grid.hbar, out=column), out=column)
+        column *= grid.dq
+        np.einsum("rq,q->r", batch, column, out=kernel[:, j])
+    return kernel
 
 
 def kernel_matrix_genfunc(p0_values, p_values, omega: float, hbar: float,
@@ -356,39 +412,6 @@ def kernel_matrix_genfunc(p0_values, p_values, omega: float, hbar: float,
                   + lin_u[0] * ps + lin_v[0] * p0s + const)
 
 
-def compare_kernels(lhs: np.ndarray, rhs: np.ndarray, tol_spread: float,
-                    params: dict | None = None) -> ResidualReport:
-    """Judge entrywise constancy of lhs/rhs; the constant itself is reported.
-
-    Entries with |lhs| below _KERNEL_FLOOR are excluded (their ratio is noise).
-    The verdict is inconclusive when nothing survives the floor.
-    """
-    lhs = np.asarray(lhs)
-    rhs = np.asarray(rhs)
-    if lhs.shape != rhs.shape:
-        raise ValueError("kernel matrices must have matching shapes")
-    mask = (np.abs(lhs) >= _KERNEL_FLOOR) & (np.abs(rhs) > 0)
-    report_params = dict(params or {})
-    report_params.update({"entries_total": int(lhs.size),
-                          "entries_used": int(mask.sum()),
-                          "floor": _KERNEL_FLOOR})
-    if not mask.any():
-        return ResidualReport(identity="boundary_kernel_match",
-                              params=report_params,
-                              tolerances={"spread": tol_spread},
-                              verdict="inconclusive",
-                              note="all entries below the comparison floor")
-    ratio = lhs[mask] / rhs[mask]
-    mean = complex(ratio.mean())
-    spread = float(ratio.std() / abs(mean))
-    report_params["mean_ratio"] = mean
-    return ResidualReport(identity="boundary_kernel_match",
-                          numeric_spread=spread,
-                          params=report_params,
-                          tolerances={"spread": tol_spread},
-                          verdict="pass" if spread < tol_spread else "fail")
-
-
 def cross_coefficient_solver(grid: QMGrid, boundary: BoundaryFactors,
                              p0: float, p: float, t_initial: float,
                              t_final: float) -> complex:
@@ -401,21 +424,3 @@ def cross_coefficient_solver(grid: QMGrid, boundary: BoundaryFactors,
     m = kernel_matrix_solver(grid, boundary, [0.0, p0], [0.0, p],
                              t_initial, t_final)
     return complex(np.log((m[1, 1] * m[0, 0]) / (m[1, 0] * m[0, 1])))
-
-
-def qm_drive_from_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Load a scalar drive from CSV columns (t, value) below one header line;
-    times must be finite and uniform."""
-    rows = Path(path).read_text().splitlines()[1:]
-    # loadtxt only warns on a file without data, and reads "#" as a comment
-    if not any(row.split("#", 1)[0].strip() for row in rows):
-        raise ValueError("drive CSV has no samples below its header")
-    raw = np.loadtxt(rows, delimiter=",", ndmin=2)
-    if raw.shape[1] != 2:
-        raise ValueError("drive CSV must have columns t, value")
-    t = raw[:, 0]
-    if not np.isfinite(t).all():
-        raise ValueError("drive CSV times must be finite")
-    if t.size < 2 or not np.allclose(np.diff(t), t[1] - t[0], rtol=1e-9, atol=1e-12):
-        raise ValueError("drive CSV time grid must be uniform with >= 2 samples")
-    return t, raw[:, 1]

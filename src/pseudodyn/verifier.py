@@ -47,6 +47,10 @@ column is the relative L2 error of the coefficient rates,
 is what random u draws would estimate: E|sum_k e_k u_k|^2 is proportional
 to ||e||_2^2.  The Schrodinger spread column is the residual's exact bound
 over the box |Re u_k|, |Im u_k| <= 1, where |u_k| <= sqrt(2).
+
+compare_kernels judges the one-mode kernel identity of qm_oracle: the
+solver's kernel matrix against the generating functional's, up to one
+constant.
 """
 
 from __future__ import annotations
@@ -59,9 +63,11 @@ from .pseudodynamics import EvolutionState, advance, evolution_functional
 from .reports import ResidualReport
 
 __all__ = ["first_order_residual", "schrodinger_residual",
-           "resolve_hamiltonian_signs", "gradient_check", "semigroup_check"]
+           "resolve_hamiltonian_signs", "gradient_check", "semigroup_check",
+           "compare_kernels"]
 
 _FD_FLOOR = 1e-300
+_KERNEL_FLOOR = 1e-8
 # the FD step is this phase over the highest lattice frequency
 _FD_PHASE_STEP = 3e-4
 
@@ -271,3 +277,42 @@ def semigroup_check(space: ModeSpace, v_hat: ModeVector, partition,
     dev_b = np.abs(state.coeffs.b - direct.coeffs.b).max()
     dev_c = abs(state.coeffs.c - direct.coeffs.c)
     return float(max(dev_a, dev_b, dev_c))
+
+
+def compare_kernels(lhs: np.ndarray, rhs: np.ndarray, tol_spread: float,
+                    params: dict | None = None) -> ResidualReport:
+    """Judge entrywise constancy of lhs/rhs; the constant itself is reported.
+
+    Finite entries with |lhs| below _KERNEL_FLOOR are excluded (their ratio
+    is noise).  The verdict fails outright on a non-finite entry in either
+    matrix, and on an entry with |lhs| at or above the floor whose rhs is 0;
+    both counts are in params.  It is inconclusive when nothing survives
+    the floor.
+    """
+    lhs = np.asarray(lhs)
+    rhs = np.asarray(rhs)
+    if lhs.shape != rhs.shape:
+        raise ValueError("kernel matrices must have matching shapes")
+    finite = np.isfinite(lhs) & np.isfinite(rhs)
+    above = finite & (np.abs(lhs) >= _KERNEL_FLOOR)
+    mask = above & (rhs != 0)
+    report = ResidualReport(identity="boundary_kernel_match", params=dict(params or {}),
+                            tolerances={"spread": tol_spread})
+    report.params.update(entries_total=lhs.size, entries_used=int(mask.sum()),
+                         entries_non_finite=int(lhs.size - finite.sum()),
+                         entries_zero_rhs=int((above & (rhs == 0)).sum()),
+                         floor=_KERNEL_FLOOR)
+    if report.params["entries_non_finite"] or report.params["entries_zero_rhs"]:
+        report.verdict = "fail"
+        report.note = "non-finite entries, or rhs 0 at or above the floor"
+    elif not mask.any():
+        report.verdict = "inconclusive"
+        report.note = "all entries below the comparison floor"
+    else:
+        ratio = lhs[mask] / rhs[mask]
+        mean = complex(ratio.mean())
+        report.numeric_spread = float(ratio.std() / abs(mean))
+        report.params["mean_ratio"] = mean
+        if not report.numeric_spread < tol_spread:
+            report.verdict = "fail"
+    return report

@@ -136,6 +136,8 @@ BAD_INPUTS = [
      "drive_file: ", "step budget"),
     # a step so fine that the fixed windows exceed the step budget
     ("oracle-qm", [], {"qm_dt": 1e-300}, "qm_dt: ", "step budget"),
+    # an infinite grid bound, refused by its field before the band check
+    ("oracle-qm", [], '{"qm_q_min": -Infinity}', "q_min must be finite"),
     # lattices above the mode cap
     ("verify-first-order", ["--modes", str(2**22 + 2)], None, "num_modes must be at most"),
     ("sweep", [], {"sweep_modes": [8, 2**23]}, "sweep_modes", "num_modes must be at most"),

@@ -10,10 +10,11 @@ import pseudodyn
 
 def test_import_loads_no_scipy():
     # the library depends on numpy alone; scipy is a test-side reference.
-    # Importing it starts no thread and loads no thread pool: the oracle's
-    # row split imports concurrent.futures only when it runs.  The
-    # quadrature oracle's Gauss-Legendre rule is a fixed table, so not even
-    # a criterion-1 kernel loads numpy.polynomial (leggauss's LAPACK
+    # Importing it starts no thread and loads no thread pool, and neither
+    # does a two-chunk oracle run: the caller's thread and one plain thread
+    # evolve the rows, and the worker is joined before the call returns.
+    # The quadrature oracle's Gauss-Legendre rule is a fixed table, so not
+    # even a criterion-1 kernel loads numpy.polynomial (leggauss's LAPACK
     # eigensolve)
     src = str(Path(pseudodyn.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -24,6 +25,13 @@ def test_import_loads_no_scipy():
             "assert 'numpy.polynomial' not in sys.modules\n"
             "pseudodyn.richardson_kernel(1.0, 0.7)\n"
             "assert 'numpy.polynomial' not in sys.modules\n"
+            "import numpy as np, pseudodyn.qm_oracle as qo\n"
+            "qo._available_cpus = lambda: 2\n"
+            "g = pseudodyn.QMGrid(-12.0, 12.0, 1024, 1e-3, 1.0)\n"
+            "rows = np.tile(pseudodyn.ground_state(g), (16, 1))\n"
+            "pseudodyn.propagate_driven(rows, g, 0.0, 0.003)\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+            "assert threading.active_count() == 1, threading.enumerate()\n"
             "print(sorted(m for m in sys.modules "
             "if m == 'scipy' or m.startswith('scipy.')))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
