@@ -189,14 +189,15 @@ def _check_edges(rows: np.ndarray, where: str, mags: np.ndarray):
 
 
 def step_count(span: float, dt: float) -> int:
-    """Split steps of at most dt over a window of length span > 0, refused
-    above the step budget _MAX_STEPS (a NaN or infinite count included)
+    """Split steps of at most dt (to a relative 1e-12 of rounding slack) over
+    a window of length span >= 0, at least one if span > 0, refused above
+    the step budget _MAX_STEPS (a NaN or infinite count included)
     before any per-step array is built."""
     steps = span / dt
     if not steps <= _MAX_STEPS:
         raise ValueError(f"a window of length {span:g} needs {steps:.3g} steps at "
                          f"dt={dt}, above the step budget of {_MAX_STEPS:.0e}")
-    return int(np.ceil(steps - 1e-12))
+    return int(np.ceil(steps * (1 - 1e-12)))
 
 
 def checked_drive(drive, span: float, dt: float) -> np.ndarray:
@@ -260,9 +261,10 @@ def propagate_driven(psi0: np.ndarray, grid: QMGrid, t_initial: float,
     return psi
 
 
-def _propagate_in_place(psi0, grid, t_initial, t_final, drive=None):
+def _propagate_in_place(psi0, grid, t_initial, t_final, drive=None, n_steps=None):
     """propagate_driven's solver: evolves the C-contiguous complex array
-    psi0 in place, with the same arguments and refusals."""
+    psi0 in place, with the same arguments and refusals.  A caller that has
+    counted the steps passes n_steps; the step is then span / n_steps."""
     if t_final < t_initial:
         raise ValueError("t_final must be >= t_initial")
     if psi0.shape[-1] != grid.n_points:
@@ -272,7 +274,8 @@ def _propagate_in_place(psi0, grid, t_initial, t_final, drive=None):
         return
     if drive is not None:
         drive = checked_drive(drive, span, grid.dt)
-    n_steps = step_count(span, grid.dt)
+    if n_steps is None:
+        n_steps = step_count(span, grid.dt)
     dt = span / n_steps
     kin_factor = np.exp(-1j * dt * grid.hbar * grid.wavenumbers**2 / 2.0)
     q = grid.q / grid.hbar   # the source couples as (i/h) j q
@@ -367,26 +370,53 @@ def kernel_matrix_solver(grid: QMGrid, boundary: BoundaryFactors,
     e^{i p q / h} dq column per p and contracted with np.einsum, numpy's own
     loop: a threaded BLAS call would leave a worker spinning.  So at most
     the batch and one column are alive, besides the result.
+
+    A drive-free window of an even step count n, with p0 and p the same
+    momenta, a grid with q_{-j} = -q_j and psi_R the reflection of psi_L,
+    is contracted at its midpoint instead: the batch takes n / 2 steps and
+    each column is its own p row reflected, j -> -j mod N, times dq.  One
+    step is symmetric and commutes with that reflection, so this is the
+    same kernel (composition law), apart from the seam q_min, which the
+    reflection fixes, at the weight psi(q_min).  Boundary factors not of
+    shape (n_points,) are refused.
     """
     p0s = np.atleast_1d(np.asarray(p0_values, dtype=float))
     ps = np.atleast_1d(np.asarray(p_values, dtype=float))
     check_band(grid, p0s, ps)
-    q = grid.q
+    q, left, right = grid.q, boundary.left, boundary.right
+    if not left.shape == right.shape == q.shape:
+        raise ValueError(f"boundary factors must have shape {q.shape}, got "
+                         f"left {left.shape} and right {right.shape}")
+    # drive-free, an even step count, one momentum set, q_{-j} = -q_j and
+    # psi_R = psi_L reflected: the batch evolves to the midpoint only (a
+    # backward window is left to the solver's refusal)
+    span = t_final - t_initial
+    n_steps = step_count(max(span, 0), grid.dt) if drive is None else 1
+    reflect = -np.arange(q.size)   # j -> -j mod N
+    mirror = (n_steps % 2 == 0 and np.array_equal(p0s, ps)
+              and np.array_equal(q[1:], -q[:0:-1]) and np.array_equal(right, left[reflect]))
     batch = np.empty((p0s.size, q.size), dtype=complex)
     for row, p0 in zip(batch, p0s):   # psi_L e^{-i p0 q / h}, as (p0 q + 0i) (-i) / h
         np.multiply(p0, q, out=row)
         row *= -1j
         np.exp(np.divide(row, grid.hbar, out=row), out=row)
-        row *= boundary.left
-    _propagate_in_place(batch, grid, t_initial, t_final, drive)
-    for row in batch:
-        row *= boundary.right
+        row *= left
+    if mirror:
+        _propagate_in_place(batch, grid, t_initial, t_initial + span / 2, None,
+                            n_steps // 2)
+    else:
+        _propagate_in_place(batch, grid, t_initial, t_final, drive)
+        for row in batch:
+            row *= right
     kernel = np.empty((p0s.size, ps.size), dtype=complex)
     column = np.empty(q.size, dtype=complex)
-    for j, p in enumerate(ps):   # e^{i p q / h} dq, one column at a time
-        np.multiply(q, p, out=column)
-        column *= 1j
-        np.exp(np.divide(column, grid.hbar, out=column), out=column)
+    for j, p in enumerate(ps):
+        if mirror:   # the evolved p row at -q, dq
+            np.take(batch[j], reflect, out=column)
+        else:   # e^{i p q / h} dq
+            np.multiply(q, p, out=column)
+            column *= 1j
+            np.exp(np.divide(column, grid.hbar, out=column), out=column)
         column *= grid.dq
         np.einsum("rq,q->r", batch, column, out=kernel[:, j])
     return kernel
@@ -419,7 +449,9 @@ def cross_coefficient_solver(grid: QMGrid, boundary: BoundaryFactors,
 
     The 2x2 log combination cancels every p-independent factor and both
     marginals, leaving the cross coefficient whose phase advances as
-    e^{-i omega (T - T0)}.
+    e^{-i omega (T - T0)}.  With p = p0, a drive-free window of an even
+    step count and a mirror-symmetric grid and boundary, its 2-row batch
+    is contracted at the window's midpoint (kernel_matrix_solver).
     """
     m = kernel_matrix_solver(grid, boundary, [0.0, p0], [0.0, p],
                              t_initial, t_final)

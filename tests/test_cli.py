@@ -241,7 +241,10 @@ def test_out_that_is_a_file_refused(tmp_path, capsys, command):
 
 
 def test_boundary_leak_gives_inconclusive_verdict(tmp_path, capsys):
-    # the vacuum fits this box, but the gap_1 and driven evolutions reach its edge
+    # the vacuum fits this box, but the driven evolution reaches its edge.
+    # gap_1 is contracted at its midpoint, t = 0.5, which its rows reach
+    # well inside the box (the full window's rows met the edge at step 800
+    # of 1000); its spread is that of a leak-free box at the same dq
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"qm_q_min": -8, "qm_q_max": 8, "qm_points": 256}))
     out = tmp_path / "r"
@@ -250,11 +253,19 @@ def test_boundary_leak_gives_inconclusive_verdict(tmp_path, capsys):
     summary = json.loads((out / "oracle_qm.json").read_text())
     verdicts = {name: summary[name]["verdict"] for name in ("coincident", "gap_1", "driven")}
     verdicts.update({k: v["verdict"] for k, v in summary["bridge"].items()})
-    assert verdicts == {"coincident": "pass", "gap_1": "inconclusive",
+    assert verdicts == {"coincident": "pass", "gap_1": "pass",
                         "driven": "inconclusive", "mode_0": "pass", "mode_1": "pass"}
-    for name in ("gap_1", "driven"):
-        assert summary[name]["note"].startswith("boundary leak"), summary[name]
+    assert summary["driven"]["note"].startswith("boundary leak"), summary["driven"]
+    moms = np.linspace(-3.0, 3.0, 32)
+    wide = pseudodyn.QMGrid(-12.0, 12.0, 384, 1e-3, 1.0)
+    leak_free = pseudodyn.compare_kernels(
+        pseudodyn.kernel_matrix_solver(wide, pseudodyn.BoundaryFactors.vacuum(wide),
+                                       moms, moms, 0.0, 1.0),
+        pseudodyn.kernel_matrix_genfunc(moms, moms, 1.0, 1.0, 0.0, 1.0), 1e-3)
+    assert summary["gap_1"]["numeric_spread"] == pytest.approx(
+        leak_free.numeric_spread, rel=1e-6)
     assert sorted(p.name for p in out.iterdir()) == ["kernel_coincident.csv",
+                                                     "kernel_gap_1.csv",
                                                      "oracle_qm.json"]
 
 

@@ -15,7 +15,9 @@ def test_import_loads_no_scipy():
     # evolve the rows, and the worker is joined before the call returns.
     # The quadrature oracle's Gauss-Legendre rule is a fixed table, so not
     # even a criterion-1 kernel loads numpy.polynomial (leggauss's LAPACK
-    # eigensolve)
+    # eigensolve).  Nor does a midpoint-contracted kernel or cross
+    # coefficient load numpy.ma (which np.unique, np.union1d and np.isin
+    # import, 0.5 MB of RSS) or numpy.random
     src = str(Path(pseudodyn.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -32,6 +34,12 @@ def test_import_loads_no_scipy():
             "pseudodyn.propagate_driven(rows, g, 0.0, 0.003)\n"
             "assert 'concurrent.futures' not in sys.modules\n"
             "assert threading.active_count() == 1, threading.enumerate()\n"
+            "b = pseudodyn.BoundaryFactors.vacuum(g)\n"
+            "moms = np.linspace(-3.0, 3.0, 16)\n"
+            "pseudodyn.kernel_matrix_solver(g, b, moms, moms, 0.0, 0.004)\n"
+            "pseudodyn.cross_coefficient_solver(g, b, 1.0, 1.0, 0.0, 0.004)\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+            "assert 'numpy.random' not in sys.modules\n"
             "print(sorted(m for m in sys.modules "
             "if m == 'scipy' or m.startswith('scipy.')))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,

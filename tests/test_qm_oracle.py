@@ -512,7 +512,8 @@ def _kernel_by_matmul(grid, boundary, p0s, ps, t_initial, t_final, drive=None):
 
 def test_in_place_kernel_matches_matmul_formula(grids, monkeypatch):
     # the in-place batch is bit-identical to the formula's; the einsum
-    # contraction differs from the zgemm in summation order alone
+    # contraction differs from the zgemm in summation order alone, and the
+    # drive-free cases, contracted at their midpoint, by rounding
     seen = []
     evolve_in_place = qm_oracle._propagate_in_place
 
@@ -559,6 +560,87 @@ def test_kernel_call_holds_at_most_one_and_a_quarter_arrays(monkeypatch, t_final
         tracemalloc.stop()
     full = moms.size * g.n_points * 16
     assert peak <= 1.25 * full, peak / full
+
+
+@pytest.fixture
+def windows(monkeypatch):
+    """(t_initial, t_final, n_steps) of every _propagate_in_place call."""
+    seen = []
+    evolve_in_place = qm_oracle._propagate_in_place
+
+    def recording(psi, grid, t_initial, t_final, drive=None, n_steps=None):
+        seen.append((t_initial, t_final, n_steps))
+        return evolve_in_place(psi, grid, t_initial, t_final, drive, n_steps)
+
+    monkeypatch.setattr(qm_oracle, "_propagate_in_place", recording)
+    return seen
+
+
+def test_drive_free_kernels_contracted_at_the_midpoint(windows):
+    # oracle-qm's gap_1 and coincident kernels and its mode-0 bridge take
+    # half the window's steps at the full window's dt; the midpoint kernel
+    # is the endpoint formula's to rounding
+    g = QMGrid(q_min=-12.0, q_max=12.0, n_points=1024, dt=1e-3, omega=1.0)
+    b = BoundaryFactors.vacuum(g)
+    moms = np.linspace(-3.0, 3.0, 32)
+    got = kernel_matrix_solver(g, b, moms, moms, 0.0, 1.0)
+    kernel_matrix_solver(g, b, moms, moms, 0.0, 0.0)
+    bridge = [cross_coefficient_solver(g, b, 1.0, 1.0, 0.0, t1) for t1 in (0.5, 1.0)]
+    assert windows == [(0.0, 0.5, 500), (0.0, 0.0, 0), (0.0, 0.25, 250),
+                       (0.0, 0.5, 500)]
+    _, want = _kernel_by_matmul(g, b, moms, moms, 0.0, 1.0)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    for t1, c in zip((0.5, 1.0), bridge):
+        _, m = _kernel_by_matmul(g, b, [0.0, 1.0], [0.0, 1.0], 0.0, t1)
+        assert abs(c - np.log((m[1, 1] * m[0, 0]) / (m[1, 0] * m[0, 1]))) <= 1e-12
+
+
+def test_kernels_off_the_midpoint_conditions_evolve_the_whole_window(grid, boundary,
+                                                                     windows):
+    moms = np.array([0.0, 1.0])
+    skew = QMGrid(q_min=-11.0, q_max=12.0, n_points=512, dt=1e-3, omega=1.0)
+    shifted = BoundaryFactors(left=boundary.left, right=np.roll(boundary.left, 1))
+    cases = {"drive": (grid, boundary, moms, 0.2, np.zeros(201)),
+             "odd step count": (grid, boundary, moms, 0.999, None),
+             "asymmetric box": (skew, BoundaryFactors.vacuum(skew), moms, 0.2, None),
+             "p0 != p": (grid, boundary, moms[::-1], 0.2, None),
+             "no reflection": (grid, shifted, moms, 0.2, None)}
+    for name, (g, b, p0s, t1, drive) in cases.items():
+        windows.clear()
+        kernel_matrix_solver(g, b, p0s, moms, 0.0, t1, drive)
+        assert windows == [(0.0, t1, None)], name
+
+
+def test_leak_in_the_half_window_still_raises(windows):
+    # on [-8, 8] the rows of a two-unit window reach the edge before its
+    # midpoint, t = 1
+    g = QMGrid(q_min=-8.0, q_max=8.0, n_points=256, dt=1e-3, omega=1.0)
+    moms = np.linspace(-3.0, 3.0, 32)
+    with pytest.raises(RuntimeError, match="boundary leak"):
+        kernel_matrix_solver(g, BoundaryFactors.vacuum(g), moms, moms, 0.0, 2.0)
+    assert windows == [(0.0, 1.0, 1000)]
+
+
+@pytest.mark.parametrize("factor", [1.0, np.ones(1), np.ones(3)],
+                         ids=["scalar", "length_1", "length_3"])
+def test_boundary_factors_of_the_wrong_shape_refused(factor):
+    g = QMGrid(q_min=-12.0, q_max=12.0, n_points=256, dt=1e-3, omega=1.0)
+    shape = re.escape(str(np.shape(factor)))
+    for left, right in ((factor, factor), (ground_state(g), factor)):
+        for t1 in (0.0, 0.01):
+            with pytest.raises(ValueError, match=rf"shape \(256,\).*right {shape}"):
+                kernel_matrix_solver(g, BoundaryFactors(left, right), [0, 1], [0, 1],
+                                     0.0, t1)
+
+
+def test_a_window_shorter_than_the_step_slack_takes_one_step(grid, boundary):
+    # a positive window within step_count's rounding slack of 0 still takes
+    # one step; with none, the step span / n_steps would divide by 0
+    assert step_count(0.0, 1e-3) == 0
+    assert step_count(1e-16, 1e-3) == 1
+    m = kernel_matrix_solver(grid, boundary, [0.0, 1.0], [0.0, 1.0], 0.0, 1e-16)
+    assert np.allclose(m, kernel_matrix_solver(grid, boundary, [0.0, 1.0], [0.0, 1.0],
+                                               0.0, 0.0), rtol=1e-12)
 
 
 def test_cross_coefficient_matches_closed_form(grids):
