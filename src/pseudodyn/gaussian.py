@@ -29,6 +29,7 @@ that the tests compare the pair forms against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,33 +90,31 @@ class GaussianCoefficients:
         return self.a.shape[0]
 
 
-@dataclass(frozen=True)
-class PairCoefficients:
-    """Exponent data (A, b, c) with A_{k,-k} = a_pair[k] and A zero elsewhere.
-
-    ``negation`` is the position permutation k -> -k.  The builders hand over
-    fresh arrays with a_k = a_{-k} exact (the per-mode image of the symmetry
-    of A); they are made read-only, not copied or re-symmetrized.
-    """
-
+class _PairFields(NamedTuple):
     a_pair: np.ndarray
     b: np.ndarray
     c: complex
     negation: np.ndarray
 
-    def __post_init__(self):
-        neg = np.asarray(self.negation)
-        a = np.asarray(self.a_pair, dtype=complex)
-        b = np.asarray(self.b, dtype=complex)
+
+class PairCoefficients(_PairFields):
+    """Exponent data (A, b, c) with A_{k,-k} = a_pair[k] and A zero elsewhere;
+    ``negation`` is the permutation k -> -k.  The constructor checks shapes
+    once and makes a_pair and b read-only (not copied or re-symmetrized:
+    builders hand over a_k = a_{-k} exact); _replace skips the check."""
+
+    __slots__ = ()
+
+    def __new__(cls, a_pair, b, c, negation):
+        neg = np.asarray(negation)
+        a = np.asarray(a_pair, dtype=complex)
+        b = np.asarray(b, dtype=complex)
         if neg.ndim != 1 or a.shape != neg.shape or b.shape != neg.shape:
             raise ValueError(f"a_pair {a.shape}, b {b.shape} and negation "
                              f"{neg.shape} must be equal 1-D shapes")
-        for arr in (a, b):
-            arr.setflags(write=False)
-        object.__setattr__(self, "a_pair", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", complex(self.c))
-        object.__setattr__(self, "negation", neg)
+        a.setflags(write=False)
+        b.setflags(write=False)
+        return super().__new__(cls, a, b, complex(c), neg)
 
 
 @dataclass(frozen=True)

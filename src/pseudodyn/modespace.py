@@ -38,11 +38,9 @@ MAX_MODES = 2**22
 class ModeSpace:
     """Finite set of spatial momentum modes with their frequencies.
 
-    A strictly positive mass is required: the massless zero mode would make
-    omega = 0 and every 1/omega kernel singular.  num_modes is capped at
-    MAX_MODES.  Instances are immutable (derived arrays are read-only) and
-    safe to share between threads.
-    """
+    Every frequency must be finite and strictly positive (a massless zero
+    mode makes 1/omega kernels singular); num_modes is capped at MAX_MODES.
+    Instances are immutable (derived arrays read-only) and thread-safe."""
 
     num_modes: int
     box_length: float
@@ -63,6 +61,14 @@ class ModeSpace:
             raise ValueError(f"mass must be strictly positive, got {self.mass}")
         if not self.hbar > 0:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
+        # the extreme frequencies (k = 0, N/2) as `frequencies` computes them
+        with np.errstate(all="ignore"):   # np.float64 ** 2 calls pow as float does
+            p = 2.0 * np.pi * np.array([0, n // 2]) / self.box_length
+            low, high = np.sqrt(p**2 + np.float64(self.mass)**2)
+        for name, k, w in (("mass", 0, low), ("box_length", n // 2, high)):
+            if not 0 < w < np.inf:
+                raise ValueError(f"{name}={getattr(self, name)} gives the k = {k} mode "
+                                 f"the frequency {w}; it must be finite and positive")
 
     @cached_property
     def mode_indices(self) -> np.ndarray:

@@ -8,27 +8,22 @@ as a functional of u gives a complex Gaussian
 
 whose coefficients obey two exact laws: A is independent of T with
 A_{k,-k} * omega_k constant across modes, and b_k(T) = b_k(0) e^{-i omega_k T}.
-Advancing T is therefore a pure phase rotation of b (a semigroup).
-States carry the exponent in pair form (gaussian.PairCoefficients, one
-a_k = A_{k,-k} per mode), so building and advancing a state costs O(N); no
-step copies, re-checks or re-symmetrizes the sources.ZExponent it reads.
+Advancing T is therefore a pure phase rotation of b (a semigroup).  States
+are plain records carrying the exponent in pair form (gaussian.PairCoefficients,
+one a_k = A_{k,-k} per mode), checked once where they are made; building one
+or several times (one exponent evaluation, _states_at) and advancing cost O(N).
 
 The raw kernel normalization does not satisfy the target first-order
-evolution equation
-
-    i dPhi/dT = sum_k u_k ( omega_k d/du_k - u_{-k} ) Phi
-
-as written; a single global rescaling u -> lambda*u closes the gap.
-The calibration is that one complex number: ``calibrate`` solves for lambda
-from the raw coefficients (lambda^2 * 2 omega_k A_{k,-k} = 1, mode-independent
-by the 1/omega law); the omega_k d/du_k term closes for any lambda, since
-i db/dT = omega b holds exactly.  The quadratic constant a lambda achieves is
-measured where it is judged, by verifier.first_order_residual (achieved_c2).
+equation i dPhi/dT = sum_k u_k ( omega_k d/du_k - u_{-k} ) Phi as written;
+one global rescaling u -> lambda*u closes it.  ``calibrate`` solves for
+lambda from the raw coefficients (lambda^2 * 2 omega_k A_{k,-k} = 1,
+mode-independent by the 1/omega law); the achieved quadratic constant is
+measured by verifier.first_order_residual (achieved_c2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +36,7 @@ __all__ = ["EvolutionState", "evolution_functional", "advance", "calibrate"]
 _SPREAD_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class EvolutionState:
+class EvolutionState(NamedTuple):
     """Gaussian coefficients of Phi(T, .), in pair form, together with
     their provenance; calibration is the lambda they were read at."""
 
@@ -53,34 +47,45 @@ class EvolutionState:
     calibration: complex
 
 
-def evolution_functional(space: ModeSpace, v_hat: ModeVector, t: float,
-                         calibration: complex = 1.0) -> EvolutionState:
-    """Build Phi(T, .) from the initial layer data v at T0 = 0.
-
-    It is z_exponent(space, T) with v contracted, read at lambda u: one
-    sources.contract_v.  lambda is calibration, 1.0 (the raw exponent) by
-    default; zero or non-finite is refused.  Negative T is rejected by the
-    window-order rule of sources.exponent_coefficients: the kernel's |tau|
-    would fold it onto +|T|, and the boundary weights are not orientation-
-    symmetric.
-    """
+def _states_at(space: ModeSpace, v_hat: ModeVector, times,
+               calibration: complex) -> list[EvolutionState]:
+    """Phi(T, .) at each T of times from one evaluation of the exponent, v
+    contracted and read at lambda u (sources.contract_v); the states share a
+    and c.  A zero or non-finite lambda, a layer of another lattice and a
+    negative T (the window-order rule of sources.exponent_coefficients) are
+    refused."""
     if calibration == 0 or not np.isfinite(calibration):
         raise ValueError(f"lambda must be finite and nonzero, got {calibration}")
+    if len(v_hat.values) != space.num_modes:
+        raise ValueError(f"v_hat has {len(v_hat.values)} modes, the lattice "
+                         f"{space.num_modes}")
     coefficients = exponent_coefficients(space.frequencies, space.negation,
-                                         space.hbar, 0.0, t)
-    g = contract_v(coefficients, v_hat.values, space.negation, calibration)
-    return EvolutionState(space, float(t), v_hat, g, calibration)
+                                         space.hbar, 0.0, np.asarray(times))
+    gs = contract_v(coefficients, v_hat.values, space.negation, calibration)
+    return [EvolutionState(space, float(t), v_hat, g, calibration)
+            for t, g in zip(times, gs)]
+
+
+def evolution_functional(space: ModeSpace, v_hat: ModeVector, t: float,
+                         calibration: complex = 1.0) -> EvolutionState:
+    """Phi(T, .) from the initial layer v at T0 = 0: the one build path at
+    one time, read at lambda = calibration (1.0, the raw exponent)."""
+    return _states_at(space, v_hat, (t,), calibration)[0]
+
+
+def _check_step(dt: float):
+    if not 0 <= dt < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"dt must be finite and >= 0, got {dt}")
 
 
 def advance(state: EvolutionState, dt: float) -> EvolutionState:
-    """Rotate b by e^{-i omega dt}; A and c are exact invariants of T, so
-    the new state shares the read-only a_pair of the old one."""
-    if not 0 <= dt < np.inf:  # NaN fails both comparisons
-        raise ValueError(f"dt must be finite and >= 0, got {dt}")
-    g = state.coeffs
-    b = np.exp(-1j * state.space.frequencies * dt) * g.b
+    """Rotate b by e^{-i omega dt}; A and c are exact invariants of T, so the
+    new state shares them (the checked record, _replace'd with b)."""
+    _check_step(dt)
+    b = np.exp(state.space.frequencies * (-1j * dt)) * state.coeffs.b
+    b.setflags(write=False)
     return EvolutionState(state.space, state.t + dt, state.v_hat,
-                          PairCoefficients(g.a_pair, b, g.c, g.negation), state.calibration)
+                          state.coeffs._replace(b=b), state.calibration)
 
 
 def calibrate(space: ModeSpace) -> complex:

@@ -24,10 +24,7 @@ contracted (contract_v, the one contraction, which the state build calls).
 Delta-delta terms are exact; delta-drive and drive-drive terms are the
 trapezoid sums of propagator.kernel_trapezoid_sums on the drive samples,
 spread evenly over the window.
-exponent_coefficients is the one place these coefficients are computed and
-checked, and it returns the ZExponent that every reader takes as is:
-z_exponent, the state build and calibration in pseudodynamics, and the
-one-frequency oscillator oracle.
+exponent_coefficients computes and checks them once, for every reader.
 """
 
 from __future__ import annotations
@@ -60,34 +57,43 @@ class ZExponent(NamedTuple):
     const: complex
 
 
-def contract_v(coefficients, v, negation, lam=1.0) -> PairCoefficients:
+def contract_v(coefficients, v, negation, lam=1.0):
     """The exponent (a ZExponent) with v contracted, read at lam * u:
-    pairings a = lam^2 uu, b = lam (2 uv v_{-k} + lin_u), and c, in fresh
-    arrays.  a_k = a_{-k} exactly: uu_k depends on omega_k = omega_{-k} alone."""
+    a = lam^2 uu (a_k = a_{-k} exactly), b = lam (2 uv v_{-k} + lin_u) and c.
+    With a time axis on uv, one record per time, sharing a and c."""
     uu, uv, lin_u, lin_v, const = coefficients
     v_neg = v[negation]
-    b = 2.0 * uv * v_neg + lin_u
+    b = lam * (2.0 * uv * v_neg + lin_u)
+    a = lam * lam * uu
     c = (uu * v * v_neg).sum() + (lin_v * v).sum() + const
-    return PairCoefficients(lam * lam * uu, lam * b, c, negation)
+    if b.ndim == 1:
+        return PairCoefficients(a, b, c, negation)
+    return [PairCoefficients(a, row, c, negation) for row in b]
 
 
 def exponent_coefficients(omegas, negation, hbar: float, t_initial: float,
-                          t_final: float, drive=None) -> ZExponent:
+                          t_final, drive=None) -> ZExponent:
     """Per-mode coefficients of log Z, the one place they are computed.
 
     The source is u delta(t - t_final) - v delta(t - t_initial) plus the
     optional drive, given as (n, num_modes) samples spread evenly over
     [t_initial, t_final] (n >= 2); mode k pairs with mode negation[k].
+    t_final is a float, or with no drive a 1-D array of ends, one uv row each.
     Every term carries the (-i/2h) prefactor of the generating functional.
     Delta-delta terms are exact; delta-drive and drive-drive terms are
-    trapezoid sums on the sample grid.  A backwards window (t_initial >
-    t_final) raises ValueError: the kernel's |tau| would fold it onto the
-    forward one.  So does any non-finite coefficient.
+    trapezoid sums on the sample grid.  A backwards window (at any end)
+    raises ValueError: the kernel's |tau| would fold it onto the forward one.
+    So do any non-finite coefficient and an array t_final with a drive.
     """
-    if t_initial > t_final:
-        raise ValueError(f"t_initial={t_initial} must not exceed t_final={t_final}")
+    ends = isinstance(t_final, np.ndarray) and t_final.ndim == 1
+    if ends and drive is not None:
+        raise ValueError("t_final must be one float when a drive is given")
+    for end in (t_final if ends else (t_final,)):
+        if t_initial > end:
+            raise ValueError(f"t_initial={t_initial} must not exceed t_final={end}")
     pref = -0.5j / hbar
-    uv = -pref * feynman_kernel_closed(omegas, t_final - t_initial)   # checks omegas
+    tau = (t_final[:, None] if ends else t_final) - t_initial
+    uv = -pref * feynman_kernel_closed(omegas, tau)   # checks omegas
     uu = pref * (-0.5j / omegas)   # D(0) = -i/(2 omega): exp(0) == 1, no call needed
     if not (np.isfinite(uu).all() and np.isfinite(uv).all()):
         raise ValueError("uu, uv have non-finite entries")

@@ -15,38 +15,25 @@ sampled, so a report does not depend on the seed it records:
 
 States carry A in pair form (a_k = A_{k,-k}, see gaussian.PairCoefficients),
 so both identities are per-mode closed forms and no check builds an N x N
-array.  The residual polynomials are supported on the pairings, Q2 as
-Q2_k u_k u_{-k}.  First order: Q2_k = 1 - 2 omega_k a_k and Q1 = 0.  With
+array.  First order: Q2_k = 1 - 2 omega_k a_k and Q1 = 0.  With
 g_k = h omega_k^2 / 2, X_k = 4 a_k^2 g_k and Y_k = 4 a_k g_k b_k, H Phi / Phi
-at the signs (q, c) has
+at the signs (q, c) has Q2_k = c X_k + q h/2, Q1_k = c Y_k and
+Q0 = c (sum_k b_k g_k b_{-k} + sum_k 2 a_k g_k).  At the first-order
+calibration a_k = 1 / (2 omega_k) the judged residuals are (c + q) h/2 and
+h omega_k b_k (1 - c), so only (-1, +1) closes both; the residuals of all
+four pairs follow from X and Y alone (one table, _sign_table).  The dense
+gaussian operators give the same polynomials and are the tests' reference.
 
-    Q2_k = c X_k + q h/2,   Q1_k = c Y_k,
-    Q0 = c (sum_k b_k g_k b_{-k} + sum_k 2 a_k g_k).
-
-The signs are fixed by the first-order law: at its calibration
-a_k = 1 / (2 omega_k) the judged residuals are Q2_k = (c + q) h/2 and
-h omega_k b_k - Q1_k = h omega_k b_k (1 - c), so only (-1, +1) closes both.
-The residuals of all four pairs follow from X and Y alone, and
-resolve_hamiltonian_signs tabulates them as a diagnostic.
-
-The dense operators gaussian.apply_first_order / apply_second_order give the
-same polynomials and are the reference the tests compare against.
-
-The finite-difference column re-derives i dPhi/dT / Phi = i dS/dT from
-neighbours rebuilt from the kernel, differencing S(T +/- dt) - S(T)
-coefficient by coefficient.  Nothing is exponentiated, so a large |Re S|
-cannot overflow and the error is the stencil's (omega dt)^2 / 6 however
-large the layer.  The step is always 3e-4 / omega_max, following the
-lattice cutoff.  Below T = dt, where T - dt has no source construction, a
-one-sided second-order stencil on T, T + dt, T + 2 dt replaces the central
-one, with its T point rebuilt as well.  So at every T the state under test
-enters the column only through its target (Q2, Q1, 0), and a constant
-added to S, which the linear identities cannot see, is never judged.  The
-column is the relative L2 error of the coefficient rates,
-||i h (da, db, dc)/dT - (Q2, Q1, 0)||_2 / max(1, ||(Q2, Q1, 0)||_2), which
-is what random u draws would estimate: E|sum_k e_k u_k|^2 is proportional
-to ||e||_2^2.  The Schrodinger spread column is the residual's exact bound
-over the box |Re u_k|, |Im u_k| <= 1, where |u_k| <= sqrt(2).
+The finite-difference column re-derives i dS/dT coefficient by coefficient
+from neighbours rebuilt from the kernel, all in one multi-time build
+(pseudodynamics._states_at), at the step 3e-4 / omega_max.  Nothing is
+exponentiated, so a large |Re S| cannot overflow.  Below T = dt a one-sided
+stencil on T, T + dt, T + 2 dt replaces the central one, with its T point
+rebuilt too, so the state under test enters only through its target
+(Q2, Q1, 0) and a constant added to S is never judged.  The column is
+||i h (da, db, dc)/dT - (Q2, Q1, 0)||_2 / max(1, ||(Q2, Q1, 0)||_2).  The
+Schrodinger spread column is the residual's exact bound over the box
+|Re u_k|, |Im u_k| <= 1.
 
 compare_kernels judges the one-mode kernel identity of qm_oracle: the
 solver's kernel matrix against the generating functional's, up to one
@@ -59,7 +46,7 @@ import numpy as np
 
 from .gaussian import GaussianCoefficients, evaluate, gradient_at
 from .modespace import ModeSpace, ModeVector
-from .pseudodynamics import EvolutionState, advance, evolution_functional
+from .pseudodynamics import EvolutionState, _check_step, _states_at, advance
 from .reports import ResidualReport
 
 __all__ = ["first_order_residual", "schrodinger_residual",
@@ -80,23 +67,21 @@ def _fd_column(state: EvolutionState, scale: float, q2: np.ndarray,
     rebuilt from the kernel, so it is independent of the phase law under test.
     """
     dt = _FD_PHASE_STEP / float(state.space.frequencies.max())
-
-    def build(step):
-        return evolution_functional(state.space, state.v_hat, state.t + step,
-                                    state.calibration).coeffs
-
+    central = state.t >= dt
     # the one-sided stencil weighs S(T) by -3, so its S(T) is rebuilt too
-    g = state.coeffs if state.t >= dt else build(0.0)
+    steps = (dt, -dt) if central else (0.0, dt, 2.0 * dt)
+    built = [n.coeffs for n in _states_at(
+        state.space, state.v_hat, [state.t + s for s in steps], state.calibration)]
+    g = state.coeffs if central else built.pop(0)
 
-    def rise(step):
+    def rise(n):
         """S(T + step) - S(T), coefficient by coefficient."""
-        n = build(step)
         return np.concatenate([n.a_pair - g.a_pair, n.b - g.b, [n.c - g.c]])
 
-    if state.t >= dt:
-        rates = (rise(dt) - rise(-dt)) / (2.0 * dt)
+    if central:
+        rates = (rise(built[0]) - rise(built[1])) / (2.0 * dt)
     else:
-        rates = (4.0 * rise(dt) - rise(2.0 * dt)) / (2.0 * dt)
+        rates = (4.0 * rise(built[0]) - rise(built[1])) / (2.0 * dt)
     target = np.concatenate([q2, q1, [0.0]])
     return float(np.linalg.norm(1j * scale * rates - target)
                  / max(1.0, np.linalg.norm(target))), dt
@@ -118,14 +103,10 @@ def first_order_residual(state: EvolutionState, tol_coeff: float = 1e-12,
                          tol_numeric: float = 1e-6, seed: int = 0) -> ResidualReport:
     """Residual of i dPhi/dT = sum_k u_k (omega_k d/du_k - u_{-k}) Phi.
 
-    The time derivative on the left is taken analytically from the exact
-    coefficient laws (dA/dT = 0, i db_k/dT = omega_k b_k, dc/dT = 0), whose
-    Q1 = omega b cancels the right side's exactly; the finite-difference
-    column then independently checks those laws against freshly built
-    neighbours, differencing S at the step 3e-4 / omega_max (recorded as
-    params["dt_step"]); its value is the relative L2 error of the
-    coefficient rates against (Q2, Q1, 0).  No u is sampled: seed only
-    labels the report.
+    The left side comes from the exact coefficient laws (dA/dT = 0,
+    i db_k/dT = omega_k b_k, dc/dT = 0), so Q1 cancels exactly; the fd
+    column checks those laws against rebuilt neighbours at the step
+    params["dt_step"].  No u is sampled: seed only labels the report.
     """
     ms = state.space
     rhs_q2, rhs_q1 = _first_order_rhs(state)
@@ -167,18 +148,23 @@ def _hamiltonian_q0_parts(state: EvolutionState, g: np.ndarray) -> tuple[complex
             complex(np.sum(2.0 * state.coeffs.a_pair * g)))
 
 
+def _sign_table(q2, q1) -> dict[str, float]:
+    """The residual at each sign pair (q, c) from q2 = max_k |X_k +/- h/2|
+    (q c = +1, -1) and q1 = max_k |h omega_k b_k -/+ Y_k| (c = +1, -1)."""
+    return {f"{q:+d},{c:+d}": float(max(q2[q * c < 0], q1[c < 0]))
+            for q in (1, -1) for c in (1, -1)}
+
+
 def resolve_hamiltonian_signs(state: EvolutionState) -> dict[str, float]:
     """The Schrodinger residual of this state at each pairing sign pair (q, c),
     keyed "q,c" (such as "-1,+1"): the larger of max_k |c X_k + q h/2| and
     max_k |h omega_k b_k - c Y_k|.  A diagnostic: the verdict is judged at
     (-1, +1), and the table gives its margin over the other three pairs."""
-    ms = state.space
-    h = ms.hbar
+    h = state.space.hbar
     x, y, _ = _hamiltonian(state)
-    lhs_q1 = h * ms.frequencies * state.coeffs.b
-    return {f"{q:+d},{c:+d}": float(max(np.max(np.abs(c * x + 0.5 * q * h)),
-                                         np.max(np.abs(lhs_q1 - c * y))))
-            for q in (1, -1) for c in (1, -1)}
+    lhs_q1 = h * state.space.frequencies * state.coeffs.b
+    return _sign_table((np.max(np.abs(x + 0.5 * h)), np.max(np.abs(x - 0.5 * h))),
+                       (np.max(np.abs(lhs_q1 - y)), np.max(np.abs(lhs_q1 + y))))
 
 
 def schrodinger_residual(state: EvolutionState, tol_coeff: float = 1e-10,
@@ -186,32 +172,27 @@ def schrodinger_residual(state: EvolutionState, tol_coeff: float = 1e-10,
                          seed: int = 0) -> ResidualReport:
     """Residual of the normally ordered Schrodinger form, up to a T function.
 
-    Q2 and Q1 of (i h d/dT - H) Phi / Phi are judged at the pairing signs
-    (-1, +1) the first-order law fixes; the residual at each of the four
-    sign pairs (resolve_hamiltonian_signs) is recorded as
-    params["sign_residuals"].  The constant Q0 is reported as the recovered
-    T function; max_q1 is relative to max(1, |h omega_k b_k|) mode by mode.  The numeric spread column
-    checks u-independence as the residual's exact bound over the box
-    |Re u_k|, |Im u_k| <= 1, sum_k (2 |Q2_k| + sqrt(2) |Q1_k|) / max(1, |Q0|);
-    the fd column re-derives the time derivative by differencing S at the
-    step 3e-4 / omega_max (recorded as params["dt_step"]) and is the relative
-    L2 error of the coefficient rates of i h dS/dT against those of H Phi / Phi
-    without its constant.  No u is sampled: seed only labels the report.
-    H = h * H|_{h=1}, so with the first-order calibration
-    (a_k = 1 / (2 omega_k) at every h) the form closes at any hbar.  The
-    trace part of Q0 is compared with the zero-point energy
-    sum_k h omega_k / 2, taken from the frequencies alone, and the gap is
+    Q2 and Q1 of (i h d/dT - H) Phi / Phi are judged at the signs (-1, +1);
+    the residual at all four sign pairs is params["sign_residuals"].  Q0 is
+    reported as the recovered T function; max_q1 is relative to
+    max(1, |h omega_k b_k|) mode by mode.  The spread column is
+    sum_k (2 |Q2_k| + sqrt(2) |Q1_k|) / max(1, |Q0|); the fd column compares
+    i h dS/dT, differenced at params["dt_step"], with H Phi / Phi without its
+    constant.  No u is sampled: seed only labels the report.  The trace part
+    of Q0 is compared with the zero-point energy sum_k h omega_k / 2, the gap
     reported as params["trace_identity_gap"].
     """
     ms = state.space
     h = ms.hbar
-    sign_residuals = resolve_hamiltonian_signs(state)
     x, h_q1, g = _hamiltonian(state)
     h_q2 = x - 0.5 * h   # the judged signs (q, c) = (-1, +1)
     lhs_q1 = h * ms.frequencies * state.coeffs.b
     resid_q1 = lhs_q1 - h_q1
-    max_q2 = float(np.max(np.abs(h_q2)))
-    max_q1 = float((np.abs(resid_q1) / np.maximum(1.0, np.abs(lhs_q1))).max())
+    abs_q2, abs_q1 = np.abs(h_q2), np.abs(resid_q1)
+    max_q2 = float(abs_q2.max())
+    max_q1 = float((abs_q1 / np.maximum(1.0, np.abs(lhs_q1))).max())
+    sign_residuals = _sign_table((np.max(np.abs(x + 0.5 * h)), max_q2),
+                                 (abs_q1.max(), np.max(np.abs(lhs_q1 + h_q1))))
 
     # normal-ordering split of the constant: Q0 = -(b^T C b + tr(2A C)); the
     # trace part is judged against the zero-point energy sum_k h omega_k / 2
@@ -219,7 +200,7 @@ def schrodinger_residual(state: EvolutionState, tol_coeff: float = 1e-10,
     resid_q0 = -(q0_b_part + q0_trace)
     trace_gap = abs(q0_trace - 0.5 * h * float(np.sum(ms.frequencies)))
 
-    spread = (float(2.0 * np.abs(h_q2).sum() + np.sqrt(2.0) * np.abs(resid_q1).sum())
+    spread = (float(2.0 * abs_q2.sum() + np.sqrt(2.0) * abs_q1.sum())
               / max(1.0, abs(resid_q0)))
     fd, dt = _fd_column(state, h, h_q2, h_q1)
 
@@ -266,17 +247,17 @@ def gradient_check(g: GaussianCoefficients, u_samples: int = 16,
 
 def semigroup_check(space: ModeSpace, v_hat: ModeVector, partition,
                     calibration: complex = 1.0) -> float:
-    """Max coefficient deviation between stepwise advance and direct build."""
+    """Max coefficient deviation between stepwise advance and direct build,
+    each relative to max(1, |direct entry|): |b_k| grows as 1 / sqrt(h)."""
     parts = [float(p) for p in partition]
-    total = sum(parts)
-    state = evolution_functional(space, v_hat, 0.0, calibration)
+    for p in parts:   # a refused step is named before its total is built
+        _check_step(p)
+    state, direct = _states_at(space, v_hat, (0.0, sum(parts)), calibration)
     for p in parts:
         state = advance(state, p)
-    direct = evolution_functional(space, v_hat, total, calibration)
-    dev_a = np.abs(state.coeffs.a_pair - direct.coeffs.a_pair).max()
-    dev_b = np.abs(state.coeffs.b - direct.coeffs.b).max()
-    dev_c = abs(state.coeffs.c - direct.coeffs.c)
-    return float(max(dev_a, dev_b, dev_c))
+    got, want = (np.concatenate([g.a_pair, g.b, [g.c]])
+                 for g in (state.coeffs, direct.coeffs))
+    return float((np.abs(got - want) / np.maximum(1.0, np.abs(want))).max())
 
 
 def compare_kernels(lhs: np.ndarray, rhs: np.ndarray, tol_spread: float,

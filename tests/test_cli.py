@@ -105,9 +105,8 @@ BAD_INPUTS = [
                        "qm_points": 80, "mass": 0.3, "box_length": 100}),
     ("calibrate", ["--config", str(Path(__file__).with_name("no_such_config.json"))],
      None),
-    # lattices that build but cannot be calibrated: lambda^2 overflows or
-    # divides by zero, omega^2 overflows a Python float, omega underflows to 0,
-    # momenta overflow
+    # lattices that cannot be calibrated (lambda^2 overflows or divides by
+    # zero), or whose frequencies overflow or underflow to 0
     ("calibrate", [], {"hbar": 1e308}),
     ("calibrate", ["--hbar", "inf"], None),
     ("calibrate", [], {"mass": 1e300}),
@@ -115,6 +114,11 @@ BAD_INPUTS = [
     ("calibrate", [], {"box_length": 1e-300}),
     ("sweep", [], {"sweep_masses": [1e300]}),
     ("sweep", [], {"sweep_masses": [1e-200]}),
+    # lattices whose frequencies overflow or underflow, refused by field and value
+    ("verify-first-order", ["--mass", "1e200"], None, "mass=1e+200", "frequency inf"),
+    ("verify-first-order", ["--box-length", "1e-320"], None, "box_length=1e-320",
+     "frequency inf"),
+    ("verify-first-order", ["--mass", "1e-300"], None, "mass=1e-300", "frequency 0.0"),
     # fields of the wrong type: refused by their rule, not by a comparison
     ("calibrate", [], {"mass": "1.0"}),
     ("calibrate", [], {"tol_coeff": "1e-12"}),
@@ -163,6 +167,37 @@ BAD_INPUTS = [
     ("verify-first-order", ["--time", "1e8", "--tol-numeric", "inf"], None),
     ("calibrate", [], '{"tol_bridge": Infinity}'),
 ]
+
+
+@pytest.mark.parametrize("hbar", ["1e-8", "1e-12"])
+def test_semigroup_passes_at_small_hbar(tmp_path, capsys, hbar):
+    # |b_k| grows as 1 / sqrt(h); the deviation is judged relative to it
+    assert main(["semigroup", "--hbar", hbar, "--out", str(tmp_path)]) == 0
+    assert "semigroup: PASS" in capsys.readouterr().out
+
+
+# the judged numbers of the default reports, as float.hex (q0 as re, im)
+GOLDEN = {
+    "verify-first-order": ("first_order", {
+        "max_q2": "0x1.0000000000000p-52", "max_q1": "0x0.0p+0",
+        "q0": ("0x0.0p+0", "0x0.0p+0"), "fd_residual": "0x1.34285f612c553p-28"}),
+    "verify-schrodinger": ("schrodinger", {
+        "max_q2": "0x1.8000000000000p-52", "max_q1": "0x1.1e3779b97f4a8p-54",
+        "q0": ("-0x1.0cc9e3149d570p+5", "0x1.cc5f3bac6fb7bp-7"),
+        "fd_residual": "0x1.34285fd2c668dp-28",
+        "numeric_spread": "0x1.10122c25e2a25p-52"}),
+    "semigroup": ("semigroup", {"numeric_spread": "0x1.a000000000000p-54"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_default_reports_are_pinned(tmp_path, capsys, command):
+    name, want = GOLDEN[command]
+    assert main([command, "--out", str(tmp_path)]) == 0
+    record = json.loads((tmp_path / f"{name}.json").read_text())
+    got = {key: ((float(record[key]["re"]).hex(), float(record[key]["im"]).hex())
+                 if key == "q0" else float(record[key]).hex()) for key in want}
+    assert got == want
 
 
 def test_invalid_config_rejected_without_report(tmp_path, capsys):

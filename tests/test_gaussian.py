@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pseudodyn import (GaussianCoefficients, QuadraticPolynomial,
+from pseudodyn import (GaussianCoefficients, PairCoefficients, QuadraticPolynomial,
                        apply_first_order, apply_second_order, evaluate,
                        gradient_at, log_evaluate)
 
@@ -189,3 +189,12 @@ def test_polynomial_subtraction_and_value():
     d = p1 - p2
     u = np.array([1.0, 2.0], dtype=complex)
     assert d.value_at(u) == pytest.approx((1 + 4) + 3 + 0.5)
+
+
+def test_pair_coefficients_checks_shapes_and_freezes_arrays():
+    neg = np.array([1, 0, 2])
+    with pytest.raises(ValueError, match="must be equal 1-D shapes"):
+        PairCoefficients(np.ones(3), np.ones(2), 0.0, neg)
+    g = PairCoefficients(np.ones(3), np.zeros(3), 1, neg)
+    assert not g.a_pair.flags.writeable and not g.b.flags.writeable
+    assert type(g.c) is complex

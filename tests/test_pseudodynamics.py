@@ -3,7 +3,8 @@ import pytest
 
 from pseudodyn import (ModeVector, advance, build_mode_space, calibrate,
                        evolution_functional, first_order_residual, z_exponent)
-from pseudodyn.sources import contract_v
+from pseudodyn import pseudodynamics
+from pseudodyn.sources import contract_v, exponent_coefficients
 
 
 @pytest.fixture
@@ -182,3 +183,40 @@ def test_calibration_validation(ms):
     for lam in (0.0, np.nan, np.inf, complex(1.0, np.nan), complex(-np.inf, 1.0)):
         with pytest.raises(ValueError, match="lambda must be finite and nonzero"):
             evolution_functional(ms, unit_random(ms, 1), 1.0, calibration=lam)
+
+
+def _hex(g):
+    return ([float(x).hex() for x in np.concatenate([g.a_pair.real, g.a_pair.imag,
+                                                      g.b.real, g.b.imag])],
+            complex(g.c).real.hex(), complex(g.c).imag.hex())
+
+
+@pytest.mark.parametrize("n", [2, 16, 1024])
+@pytest.mark.parametrize("hbar", [0.5, 1.0, 3.0])
+def test_multi_time_build_equals_per_time_builds_bitwise(n, hbar):
+    space = build_mode_space(n, 2 * np.pi, 1.0, hbar=hbar)
+    lam = calibrate(space)
+    v = unit_random(space, 11)
+    dt = 3e-4 / float(space.frequencies.max())
+    times = [0.0, dt, 2.0 * dt, 1.0, 10.0]
+    for t, st in zip(times, pseudodynamics._states_at(space, v, times, lam)):
+        assert st.t == t
+        assert _hex(st.coeffs) == _hex(evolution_functional(space, v, t, lam).coeffs)
+
+
+def test_build_refuses_a_layer_of_another_lattice(ms):
+    for n in (8, 32):
+        other = build_mode_space(n, 2 * np.pi, 1.0)
+        with pytest.raises(ValueError, match=f"v_hat has {n} modes, the lattice 16"):
+            evolution_functional(ms, unit_random(other, 1), 1.0)
+
+
+def test_array_window_ends_refuse_a_drive_and_a_backwards_end(ms):
+    w, neg = ms.frequencies, ms.negation
+    with pytest.raises(ValueError, match="one float when a drive"):
+        exponent_coefficients(w, neg, 1.0, 0.0, np.array([1.0, 2.0]),
+                              np.zeros((3, ms.num_modes)))
+    with pytest.raises(ValueError, match="t_final=-0.5"):
+        exponent_coefficients(w, neg, 1.0, 0.0, np.array([1.0, -0.5]))
+    zx = exponent_coefficients(w, neg, 1.0, 0.0, np.array([0.5, 2.0]))
+    assert zx.uv.shape == (2, ms.num_modes)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pseudodyn.pseudodynamics as pseudodynamics
 import pseudodyn.verifier as verifier
 from pseudodyn.cli import RunConfig
 from pseudodyn.reports import ResidualReport, sweep_csv_row
@@ -402,18 +403,19 @@ def test_one_sided_stencil_at_t_zero(state, monkeypatch):
     st0 = evolution_functional(state.space, state.v_hat, 0.0,
                                calibration=state.calibration)
     built = []
+    build = verifier._states_at
 
-    def recording(space, v_hat, t, *args):
-        built.append(t)
-        return evolution_functional(space, v_hat, t, *args)
+    def recording(space, v_hat, times, *args):
+        built.append(list(times))
+        return build(space, v_hat, times, *args)
 
-    monkeypatch.setattr(verifier, "evolution_functional", recording)
+    monkeypatch.setattr(verifier, "_states_at", recording)
     for check in (first_order_residual, schrodinger_residual):
         built.clear()
         report = check(st0)
         assert report.passed, report.summary_line()
         dt = report.params["dt_step"]
-        assert built == [0.0, dt, 2.0 * dt]
+        assert built == [[0.0, dt, 2.0 * dt]]
 
 
 @pytest.mark.parametrize("t, shift", [(0.0, 1e-9), (1e-6, 1e-9), (1.0, 1e-6)])
@@ -433,21 +435,24 @@ def test_fd_column_never_reads_the_state_constant(t, shift):
 
 
 def _rate_fault(monkeypatch, eps):
-    """Make verifier.evolution_functional rotate b_k at omega_k (1 + eps_k):
-    the state under test and its FD neighbours share the fault, which leaves
-    every coefficient law but the phase rate intact."""
-    build = verifier.evolution_functional
+    """Make verifier's state builder rotate b_k at omega_k (1 + eps_k): the
+    state under test and its FD neighbours share the fault, which leaves
+    every coefficient law but the phase rate intact.  Returns a one-state
+    build with the fault."""
+    build = verifier._states_at
 
-    def faulty(space, v_hat, t, *args):
-        st = build(space, v_hat, t, *args)
-        g = st.coeffs
-        drift = np.exp(-1j * eps * space.frequencies * t)
-        return EvolutionState(space, st.t, st.v_hat,
-                              PairCoefficients(g.a_pair, g.b * drift, g.c, g.negation),
-                              st.calibration)
+    def faulty(space, v_hat, times, *args):
+        out = []
+        for st in build(space, v_hat, times, *args):
+            g = st.coeffs
+            drift = np.exp(-1j * eps * space.frequencies * st.t)
+            out.append(EvolutionState(
+                space, st.t, st.v_hat,
+                PairCoefficients(g.a_pair, g.b * drift, g.c, g.negation), st.calibration))
+        return out
 
-    monkeypatch.setattr(verifier, "evolution_functional", faulty)
-    return faulty
+    monkeypatch.setattr(verifier, "_states_at", faulty)
+    return lambda space, v_hat, t, *args: faulty(space, v_hat, (t,), *args)[0]
 
 
 def _only_fd_fails(state):
@@ -486,3 +491,48 @@ def test_identity_check_memory_stays_linear_at_n65536(check):
     finally:
         tracemalloc.stop()
     assert peak < 20 * state.space.num_modes * 16, peak
+
+
+def _count_exponents(monkeypatch):
+    calls = []
+    build = pseudodynamics.exponent_coefficients
+
+    def counting(*args, **kwargs):
+        calls.append(args[4])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(pseudodynamics, "exponent_coefficients", counting)
+    return calls
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0])
+def test_one_exponent_evaluation_per_fd_column_and_semigroup(state, monkeypatch, t):
+    st = evolution_functional(state.space, state.v_hat, t, state.calibration)
+    calls = _count_exponents(monkeypatch)
+    for check in (first_order_residual, schrodinger_residual):
+        calls.clear()
+        check(st)
+        assert len(calls) == 1
+    calls.clear()
+    semigroup_check(st.space, st.v_hat, [0.5, 0.25, 1.0], st.calibration)
+    assert len(calls) == 1
+    assert list(calls[0]) == [0.0, 1.75]
+
+
+@pytest.mark.parametrize("hbar", [1.0, 1e-8])
+def test_semigroup_catches_a_phase_rate_error_at_small_hbar(monkeypatch, hbar):
+    ms = build_mode_space(16, 2 * np.pi, 1.0, hbar=hbar)
+    calib = calibrate(ms)
+    v = ModeVector(ms, np.full(16, 0.25))
+    parts = [0.5, 1.0, 1.5]
+    assert semigroup_check(ms, v, parts, calib) < 1e-12
+
+    def drifting(st, dt):
+        g = st.coeffs
+        b = np.exp(-1j * st.space.frequencies * (1.0 + 1e-9) * dt) * g.b
+        return EvolutionState(st.space, st.t + dt, st.v_hat,
+                              PairCoefficients(g.a_pair, b, g.c, g.negation),
+                              st.calibration)
+
+    monkeypatch.setattr(verifier, "advance", drifting)
+    assert semigroup_check(ms, v, parts, calib) > 1e-12
