@@ -101,7 +101,7 @@ class PairCoefficients(_PairFields):
     """Exponent data (A, b, c) with A_{k,-k} = a_pair[k] and A zero elsewhere;
     ``negation`` is the permutation k -> -k.  The constructor checks shapes
     once and makes a_pair and b read-only (not copied or re-symmetrized:
-    builders hand over a_k = a_{-k} exact); _replace skips the check."""
+    builders hand over a_k = a_{-k} exact); _make skips the check."""
 
     __slots__ = ()
 

@@ -14,6 +14,7 @@ is likewise self-paired.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Real
@@ -61,14 +62,14 @@ class ModeSpace:
             raise ValueError(f"mass must be strictly positive, got {self.mass}")
         if not self.hbar > 0:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
-        # the extreme frequencies (k = 0, N/2) as `frequencies` computes them
-        with np.errstate(all="ignore"):   # np.float64 ** 2 calls pow as float does
-            p = 2.0 * np.pi * np.array([0, n // 2]) / self.box_length
-            low, high = np.sqrt(p**2 + np.float64(self.mass)**2)
-        for name, k, w in (("mass", 0, low), ("box_length", n // 2, high)):
-            if not 0 < w < np.inf:
-                raise ValueError(f"{name}={getattr(self, name)} gives the k = {k} mode "
-                                 f"the frequency {w}; it must be finite and positive")
+        # the lowest and highest frequency (k = 0, N/2) as `frequencies` computes
+        # them; a float product overflows to inf where ** raises
+        m2 = self.mass * self.mass
+        p = 2.0 * math.pi * (n // 2) / self.box_length
+        for name, w in (("mass", math.sqrt(m2)), ("box_length", math.sqrt(p * p + m2))):
+            if not 0 < w < math.inf:
+                raise ValueError(f"{name}={getattr(self, name)} gives a mode the "
+                                 f"frequency {w}; it must be finite and positive")
 
     @cached_property
     def mode_indices(self) -> np.ndarray:

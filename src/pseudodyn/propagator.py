@@ -60,7 +60,7 @@ def feynman_kernel_closed(omega, tau):
         raise ValueError("tau must be finite")
     # -1j * t first: with a scalar tau that is one array product, not two
     out = -0.5j / w * np.exp(-1j * t * w)
-    if np.isscalar(omega) and np.isscalar(tau):
+    if out.ndim == 0 and np.isscalar(omega) and np.isscalar(tau):
         return complex(out)
     return out
 

@@ -47,8 +47,7 @@ class EvolutionState(NamedTuple):
     calibration: complex
 
 
-def _states_at(space: ModeSpace, v_hat: ModeVector, times,
-               calibration: complex) -> list[EvolutionState]:
+def _states_at(space, v_hat, times, calibration) -> list[EvolutionState]:
     """Phi(T, .) at each T of times from one evaluation of the exponent, v
     contracted and read at lambda u (sources.contract_v); the states share a
     and c.  A zero or non-finite lambda, a layer of another lattice and a
@@ -73,19 +72,21 @@ def evolution_functional(space: ModeSpace, v_hat: ModeVector, t: float,
     return _states_at(space, v_hat, (t,), calibration)[0]
 
 
-def _check_step(dt: float):
+def _check_step(dt):
     if not 0 <= dt < np.inf:  # NaN fails both comparisons
         raise ValueError(f"dt must be finite and >= 0, got {dt}")
 
 
 def advance(state: EvolutionState, dt: float) -> EvolutionState:
     """Rotate b by e^{-i omega dt}; A and c are exact invariants of T, so the
-    new state shares them (the checked record, _replace'd with b)."""
+    new state shares them, in the checked record remade by _make (it takes a
+    tuple: _replace's map leaves one tuple per call in CPython's free list)."""
     _check_step(dt)
-    b = np.exp(state.space.frequencies * (-1j * dt)) * state.coeffs.b
+    g = state.coeffs
+    b = np.exp(state.space.frequencies * (-1j * dt)) * g.b
     b.setflags(write=False)
     return EvolutionState(state.space, state.t + dt, state.v_hat,
-                          state.coeffs._replace(b=b), state.calibration)
+                          g._make((g.a_pair, b, g.c, g.negation)), state.calibration)
 
 
 def calibrate(space: ModeSpace) -> complex:

@@ -88,7 +88,7 @@ def exponent_coefficients(omegas, negation, hbar: float, t_initial: float,
     ends = isinstance(t_final, np.ndarray) and t_final.ndim == 1
     if ends and drive is not None:
         raise ValueError("t_final must be one float when a drive is given")
-    for end in (t_final if ends else (t_final,)):
+    for end in (t_final.tolist() if ends else (t_final,)):
         if t_initial > end:
             raise ValueError(f"t_initial={t_initial} must not exceed t_final={end}")
     pref = -0.5j / hbar

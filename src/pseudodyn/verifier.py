@@ -70,18 +70,12 @@ def _fd_column(state: EvolutionState, scale: float, q2: np.ndarray,
     central = state.t >= dt
     # the one-sided stencil weighs S(T) by -3, so its S(T) is rebuilt too
     steps = (dt, -dt) if central else (0.0, dt, 2.0 * dt)
-    built = [n.coeffs for n in _states_at(
+    g, near, far = [state.coeffs] * central + [n.coeffs for n in _states_at(
         state.space, state.v_hat, [state.t + s for s in steps], state.calibration)]
-    g = state.coeffs if central else built.pop(0)
-
-    def rise(n):
-        """S(T + step) - S(T), coefficient by coefficient."""
-        return np.concatenate([n.a_pair - g.a_pair, n.b - g.b, [n.c - g.c]])
-
-    if central:
-        rates = (rise(built[0]) - rise(built[1])) / (2.0 * dt)
-    else:
-        rates = (4.0 * rise(built[0]) - rise(built[1])) / (2.0 * dt)
+    # S(T + step) - S(T), coefficient by coefficient
+    near, far = (np.concatenate([n.a_pair - g.a_pair, n.b - g.b, [n.c - g.c]])
+                 for n in (near, far))
+    rates = (near - far if central else 4.0 * near - far) / (2.0 * dt)
     target = np.concatenate([q2, q1, [0.0]])
     return float(np.linalg.norm(1j * scale * rates - target)
                  / max(1.0, np.linalg.norm(target))), dt
@@ -148,23 +142,21 @@ def _hamiltonian_q0_parts(state: EvolutionState, g: np.ndarray) -> tuple[complex
             complex(np.sum(2.0 * state.coeffs.a_pair * g)))
 
 
-def _sign_table(q2, q1) -> dict[str, float]:
-    """The residual at each sign pair (q, c) from q2 = max_k |X_k +/- h/2|
-    (q c = +1, -1) and q1 = max_k |h omega_k b_k -/+ Y_k| (c = +1, -1)."""
-    return {f"{q:+d},{c:+d}": float(max(q2[q * c < 0], q1[c < 0]))
+def _sign_table(h, x, y, lhs_q1) -> dict:
+    """The residual at each sign pair (q, c), keyed "q,c": the larger of
+    max_k |c X_k + q h/2| and max_k |h omega_k b_k - c Y_k| (lhs_q1)."""
+    return {f"{q:+d},{c:+d}": float(max(np.max(np.abs(c * x + 0.5 * q * h)),
+                                         np.max(np.abs(lhs_q1 - c * y))))
             for q in (1, -1) for c in (1, -1)}
 
 
 def resolve_hamiltonian_signs(state: EvolutionState) -> dict[str, float]:
     """The Schrodinger residual of this state at each pairing sign pair (q, c),
-    keyed "q,c" (such as "-1,+1"): the larger of max_k |c X_k + q h/2| and
-    max_k |h omega_k b_k - c Y_k|.  A diagnostic: the verdict is judged at
+    keyed "q,c" (such as "-1,+1").  A diagnostic: the verdict is judged at
     (-1, +1), and the table gives its margin over the other three pairs."""
     h = state.space.hbar
     x, y, _ = _hamiltonian(state)
-    lhs_q1 = h * state.space.frequencies * state.coeffs.b
-    return _sign_table((np.max(np.abs(x + 0.5 * h)), np.max(np.abs(x - 0.5 * h))),
-                       (np.max(np.abs(lhs_q1 - y)), np.max(np.abs(lhs_q1 + y))))
+    return _sign_table(h, x, y, h * state.space.frequencies * state.coeffs.b)
 
 
 def schrodinger_residual(state: EvolutionState, tol_coeff: float = 1e-10,
@@ -186,13 +178,12 @@ def schrodinger_residual(state: EvolutionState, tol_coeff: float = 1e-10,
     h = ms.hbar
     x, h_q1, g = _hamiltonian(state)
     h_q2 = x - 0.5 * h   # the judged signs (q, c) = (-1, +1)
+    fd, dt = _fd_column(state, h, h_q2, h_q1)
     lhs_q1 = h * ms.frequencies * state.coeffs.b
     resid_q1 = lhs_q1 - h_q1
     abs_q2, abs_q1 = np.abs(h_q2), np.abs(resid_q1)
     max_q2 = float(abs_q2.max())
     max_q1 = float((abs_q1 / np.maximum(1.0, np.abs(lhs_q1))).max())
-    sign_residuals = _sign_table((np.max(np.abs(x + 0.5 * h)), max_q2),
-                                 (abs_q1.max(), np.max(np.abs(lhs_q1 + h_q1))))
 
     # normal-ordering split of the constant: Q0 = -(b^T C b + tr(2A C)); the
     # trace part is judged against the zero-point energy sum_k h omega_k / 2
@@ -202,12 +193,11 @@ def schrodinger_residual(state: EvolutionState, tol_coeff: float = 1e-10,
 
     spread = (float(2.0 * abs_q2.sum() + np.sqrt(2.0) * abs_q1.sum())
               / max(1.0, abs(resid_q0)))
-    fd, dt = _fd_column(state, h, h_q2, h_q1)
 
     params = _base_params(state, seed)
     params.update({
         "dt_step": dt,
-        "sign_residuals": sign_residuals,
+        "sign_residuals": _sign_table(h, x, h_q1, lhs_q1),
         "q0_b_part": q0_b_part, "q0_trace": q0_trace,
         "trace_identity_gap": trace_gap,
     })
