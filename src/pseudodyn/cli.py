@@ -169,11 +169,12 @@ def qm_drive_from_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _oracle_drive(cfg: RunConfig):
-    """The driven case's window and drive: the drive file, or sin(t) on [0, 2]."""
-    if not cfg.drive_file:
-        return (0.0, 2.0), np.sin(np.linspace(0.0, 2.0, 2001))
-    t_samples, drive = qm_drive_from_csv(cfg.drive_file)
-    window = (float(t_samples[0]), float(t_samples[-1]))
+    """The driven case's window and drive, the file's or sin(t) on [0, 2],
+    each checked against the solver step qm_dt."""
+    window, drive = (0.0, 2.0), np.sin(np.linspace(0.0, 2.0, 2001))
+    if cfg.drive_file:
+        t_samples, drive = qm_drive_from_csv(cfg.drive_file)
+        window = (float(t_samples[0]), float(t_samples[-1]))
     return window, checked_drive(drive, window[1] - window[0], cfg.qm_dt)
 
 
@@ -271,7 +272,8 @@ def _cmd_oracle_qm(cfg: RunConfig) -> int:
     bridges = {k: _checked(f"mode bridge grid at k={k} (from modes, box_length, mass)",
                            lambda: _vacuum_grid(cfg, space.frequency(k), _BRIDGE_P))
                for k in _BRIDGE_MODES}
-    drive_window, drive = _checked("drive_file", lambda: _oracle_drive(cfg))
+    drive_window, drive = _checked("drive_file" if cfg.drive_file else "qm_dt",
+                                   lambda: _oracle_drive(cfg))
     # gap_1 and the bridges run to t = 1, the driven case over its window
     _checked("qm_dt", lambda: step_count(max(1.0, drive_window[1] - drive_window[0]),
                                          cfg.qm_dt))
@@ -338,9 +340,8 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     states = []
     for space, calib in lattices:
         v_hat = _checked("v_spec, seed, sweep_modes", lambda: _initial_layer(cfg, space))
-        states += _checked("sweep_times", lambda: [
-            evolution_functional(space, v_hat, t, calibration=calib)
-            for t in cfg.sweep_times])
+        states += _checked("sweep_times", lambda: evolution_functional(
+            space, v_hat, cfg.sweep_times, calibration=calib))
     out_dir = _out_dir(cfg)
 
     rows = []

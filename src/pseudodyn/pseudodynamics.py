@@ -11,7 +11,7 @@ A_{k,-k} * omega_k constant across modes, and b_k(T) = b_k(0) e^{-i omega_k T}.
 Advancing T is therefore a pure phase rotation of b (a semigroup).  States
 are plain records carrying the exponent in pair form (gaussian.PairCoefficients,
 one a_k = A_{k,-k} per mode), checked once where they are made; building one
-or several times (one exponent evaluation, _states_at) and advancing cost O(N).
+or several times (one exponent evaluation) and advancing cost O(N).
 
 The raw kernel normalization does not satisfy the target first-order
 equation i dPhi/dT = sum_k u_k ( omega_k d/du_k - u_{-k} ) Phi as written;
@@ -47,29 +47,29 @@ class EvolutionState(NamedTuple):
     calibration: complex
 
 
-def _states_at(space, v_hat, times, calibration) -> list[EvolutionState]:
-    """Phi(T, .) at each T of times from one evaluation of the exponent, v
-    contracted and read at lambda u (sources.contract_v); the states share a
-    and c.  A zero or non-finite lambda, a layer of another lattice and a
-    negative T (the window-order rule of sources.exponent_coefficients) are
-    refused."""
+def evolution_functional(space: ModeSpace, v_hat: ModeVector, t,
+                         calibration: complex = 1.0):
+    """Phi(T, .) from the initial layer v at T0 = 0, read at lambda u with
+    lambda = calibration (1.0, the raw exponent): one state at one time t, or
+    one per time of a non-empty 1-D sequence t from one exponent evaluation,
+    sharing a and c (sources.contract_v).  A zero or non-finite lambda, a layer
+    of another lattice, a t of another shape and a negative T (the window
+    order of sources.exponent_coefficients) are refused."""
     if calibration == 0 or not np.isfinite(calibration):
         raise ValueError(f"lambda must be finite and nonzero, got {calibration}")
     if len(v_hat.values) != space.num_modes:
-        raise ValueError(f"v_hat has {len(v_hat.values)} modes, the lattice "
-                         f"{space.num_modes}")
-    coefficients = exponent_coefficients(space.frequencies, space.negation,
-                                         space.hbar, 0.0, np.asarray(times))
-    gs = contract_v(coefficients, v_hat.values, space.negation, calibration)
-    return [EvolutionState(space, float(t), v_hat, g, calibration)
-            for t, g in zip(times, gs)]
-
-
-def evolution_functional(space: ModeSpace, v_hat: ModeVector, t: float,
-                         calibration: complex = 1.0) -> EvolutionState:
-    """Phi(T, .) from the initial layer v at T0 = 0: the one build path at
-    one time, read at lambda = calibration (1.0, the raw exponent)."""
-    return _states_at(space, v_hat, (t,), calibration)[0]
+        raise ValueError(
+            f"v_hat has {len(v_hat.values)} modes, the lattice {space.num_modes}")
+    times = np.asarray(t)
+    if times.ndim > 1 or not times.size:
+        raise ValueError(
+            f"t must be one time or a non-empty 1-D sequence, got shape {times.shape}")
+    gs = contract_v(exponent_coefficients(space.frequencies, space.negation,
+                                          space.hbar, 0.0, times.ravel()),
+                    v_hat.values, space.negation, calibration)
+    states = [EvolutionState(space, float(s), v_hat, g, calibration)
+              for s, g in zip(times.flat, gs)]
+    return states if times.ndim else states[0]
 
 
 def _check_step(dt):

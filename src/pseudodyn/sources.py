@@ -20,7 +20,7 @@ all-ordered-pairs convention of the Gaussian algebra.  Both layers' self
 terms carry the same coincident kernel D(0), hence the one coefficient uu.
 The coefficients depend only on the window [T0, T] and the drive; the
 layers enter only when the exponent is read as a Gaussian in u with v
-contracted (contract_v, the one contraction, which the state build calls).
+contracted (contract_v, the one contraction, which evolution_functional calls).
 Delta-delta terms are exact; delta-drive and drive-drive terms are the
 trapezoid sums of propagator.kernel_trapezoid_sums on the drive samples,
 spread evenly over the window.
@@ -59,16 +59,14 @@ class ZExponent(NamedTuple):
 
 def contract_v(coefficients, v, negation, lam=1.0):
     """The exponent (a ZExponent) with v contracted, read at lam * u:
-    a = lam^2 uu (a_k = a_{-k} exactly), b = lam (2 uv v_{-k} + lin_u) and c.
-    With a time axis on uv, one record per time, sharing a and c."""
+    a = lam^2 uu (a_k = a_{-k} exactly), b = lam (2 uv v_{-k} + lin_u) and c,
+    in a list of one record per row of uv (per time), sharing a and c."""
     uu, uv, lin_u, lin_v, const = coefficients
     v_neg = v[negation]
     b = lam * (2.0 * uv * v_neg + lin_u)
     a = lam * lam * uu
     c = (uu * v * v_neg).sum() + (lin_v * v).sum() + const
-    if b.ndim == 1:
-        return PairCoefficients(a, b, c, negation)
-    return [PairCoefficients(a, row, c, negation) for row in b]
+    return [PairCoefficients(a, row, c, negation) for row in b.reshape(-1, len(v))]
 
 
 def exponent_coefficients(omegas, negation, hbar: float, t_initial: float,

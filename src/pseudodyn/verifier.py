@@ -25,15 +25,15 @@ four pairs follow from X and Y alone (one table, _sign_table).  The dense
 gaussian operators give the same polynomials and are the tests' reference.
 
 The finite-difference column re-derives i dS/dT coefficient by coefficient
-from neighbours rebuilt from the kernel, all in one multi-time build
-(pseudodynamics._states_at), at the step 3e-4 / omega_max.  Nothing is
+from neighbours rebuilt from the kernel, all in one multi-time call of
+pseudodynamics.evolution_functional, at the step 3e-4 / omega_max.  Nothing is
 exponentiated, so a large |Re S| cannot overflow.  Below T = dt a one-sided
 stencil on T, T + dt, T + 2 dt replaces the central one, with its T point
 rebuilt too, so the state under test enters only through its target
 (Q2, Q1, 0) and a constant added to S is never judged.  The column is
-||i h (da, db, dc)/dT - (Q2, Q1, 0)||_2 / max(1, ||(Q2, Q1, 0)||_2).  The
-Schrodinger spread column is the residual's exact bound over the box
-|Re u_k|, |Im u_k| <= 1.
+||i h (da, db, dc)/dT - (Q2, Q1, 0)||_2 / max(h, ||(Q2, Q1, 0)||_2), h = 1 in
+the first-order law; every Schrodinger column is in units of h.  The spread
+column is the residual's exact bound over the box |Re u_k|, |Im u_k| <= 1.
 
 compare_kernels judges the one-mode kernel identity of qm_oracle: the
 solver's kernel matrix against the generating functional's, up to one
@@ -46,7 +46,7 @@ import numpy as np
 
 from .gaussian import GaussianCoefficients, evaluate, gradient_at
 from .modespace import ModeSpace, ModeVector
-from .pseudodynamics import EvolutionState, _check_step, _states_at, advance
+from .pseudodynamics import EvolutionState, _check_step, advance, evolution_functional
 from .reports import ResidualReport
 
 __all__ = ["first_order_residual", "schrodinger_residual",
@@ -61,16 +61,16 @@ _FD_PHASE_STEP = 3e-4
 
 def _fd_column(state: EvolutionState, scale: float, q2: np.ndarray,
                q1: np.ndarray) -> tuple[float, float]:
-    """||i scale dS/dT - (q2, q1, 0)||_2 / max(1, ||(q2, q1, 0)||_2) over the
-    coefficient rates, and the step; scale is 1 for the first-order law and
-    hbar for the Schrodinger form.  dS/dT is differenced from neighbours
+    """||i scale dS/dT - (q2, q1, 0)||_2 / max(scale, ||(q2, q1, 0)||_2) over
+    the coefficient rates, and the step; scale is 1 for the first-order law
+    and hbar for the Schrodinger form.  dS/dT is differenced from neighbours
     rebuilt from the kernel, so it is independent of the phase law under test.
     """
     dt = _FD_PHASE_STEP / float(state.space.frequencies.max())
     central = state.t >= dt
     # the one-sided stencil weighs S(T) by -3, so its S(T) is rebuilt too
     steps = (dt, -dt) if central else (0.0, dt, 2.0 * dt)
-    g, near, far = [state.coeffs] * central + [n.coeffs for n in _states_at(
+    g, near, far = [state.coeffs] * central + [n.coeffs for n in evolution_functional(
         state.space, state.v_hat, [state.t + s for s in steps], state.calibration)]
     # S(T + step) - S(T), coefficient by coefficient
     near, far = (np.concatenate([n.a_pair - g.a_pair, n.b - g.b, [n.c - g.c]])
@@ -78,7 +78,7 @@ def _fd_column(state: EvolutionState, scale: float, q2: np.ndarray,
     rates = (near - far if central else 4.0 * near - far) / (2.0 * dt)
     target = np.concatenate([q2, q1, [0.0]])
     return float(np.linalg.norm(1j * scale * rates - target)
-                 / max(1.0, np.linalg.norm(target))), dt
+                 / max(scale, np.linalg.norm(target))), dt
 
 
 def _base_params(state: EvolutionState, seed: int) -> dict:
@@ -164,15 +164,15 @@ def schrodinger_residual(state: EvolutionState, tol_coeff: float = 1e-10,
                          seed: int = 0) -> ResidualReport:
     """Residual of the normally ordered Schrodinger form, up to a T function.
 
-    Q2 and Q1 of (i h d/dT - H) Phi / Phi are judged at the signs (-1, +1);
-    the residual at all four sign pairs is params["sign_residuals"].  Q0 is
-    reported as the recovered T function; max_q1 is relative to
-    max(1, |h omega_k b_k|) mode by mode.  The spread column is
-    sum_k (2 |Q2_k| + sqrt(2) |Q1_k|) / max(1, |Q0|); the fd column compares
-    i h dS/dT, differenced at params["dt_step"], with H Phi / Phi without its
-    constant.  No u is sampled: seed only labels the report.  The trace part
-    of Q0 is compared with the zero-point energy sum_k h omega_k / 2, the gap
-    reported as params["trace_identity_gap"].
+    Q2 and Q1 of (i h d/dT - H) Phi / Phi are judged at the signs (-1, +1) in
+    units of h; the residual at all four sign pairs is params["sign_residuals"].
+    Q0 is reported as the recovered T function; max_q2 is max_k |Q2_k| / h and
+    max_q1 is relative to max(h, |h omega_k b_k|) mode by mode.  The spread
+    column is sum_k (2 |Q2_k| + sqrt(2) |Q1_k|) / max(h, |Q0|); the fd column
+    compares i h dS/dT, differenced at params["dt_step"], with H Phi / Phi
+    without its constant, over max(h, ||(Q2, Q1, 0)||_2).  No u is sampled:
+    seed only labels the report.  The trace part of Q0 is compared with the
+    zero-point energy sum_k h omega_k / 2, the gap in params["trace_identity_gap"].
     """
     ms = state.space
     h = ms.hbar
@@ -182,8 +182,8 @@ def schrodinger_residual(state: EvolutionState, tol_coeff: float = 1e-10,
     lhs_q1 = h * ms.frequencies * state.coeffs.b
     resid_q1 = lhs_q1 - h_q1
     abs_q2, abs_q1 = np.abs(h_q2), np.abs(resid_q1)
-    max_q2 = float(abs_q2.max())
-    max_q1 = float((abs_q1 / np.maximum(1.0, np.abs(lhs_q1))).max())
+    max_q2 = float(abs_q2.max()) / h
+    max_q1 = float((abs_q1 / np.maximum(h, np.abs(lhs_q1))).max())
 
     # normal-ordering split of the constant: Q0 = -(b^T C b + tr(2A C)); the
     # trace part is judged against the zero-point energy sum_k h omega_k / 2
@@ -192,7 +192,7 @@ def schrodinger_residual(state: EvolutionState, tol_coeff: float = 1e-10,
     trace_gap = abs(q0_trace - 0.5 * h * float(np.sum(ms.frequencies)))
 
     spread = (float(2.0 * abs_q2.sum() + np.sqrt(2.0) * abs_q1.sum())
-              / max(1.0, abs(resid_q0)))
+              / max(h, abs(resid_q0)))
 
     params = _base_params(state, seed)
     params.update({
@@ -242,7 +242,7 @@ def semigroup_check(space: ModeSpace, v_hat: ModeVector, partition,
     parts = [float(p) for p in partition]
     for p in parts:   # a refused step is named before its total is built
         _check_step(p)
-    state, direct = _states_at(space, v_hat, (0.0, sum(parts)), calibration)
+    state, direct = evolution_functional(space, v_hat, (0.0, sum(parts)), calibration)
     for p in parts:
         state = advance(state, p)
     got, want = (np.concatenate([g.a_pair, g.b, [g.c]])

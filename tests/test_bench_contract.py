@@ -108,3 +108,21 @@ def test_workload_smoke_passes_are_sound_and_pass():
         assert outcomes, name
         for outcome in outcomes:
             assert outcome.sound and outcome.passed, (name, outcome)
+
+
+def test_traced_checks_see_their_rebuilds():
+    # the identity checks build their states through the public builder
+    # that spans.py wraps, so a traced run counts the FD column's rebuilds
+    # and the semigroup check's direct build
+    spans_module = _load("spans")
+    space = pseudodyn.build_mode_space(8, 6.0, 1.0)
+    calib = pseudodyn.calibrate(space)
+    layer = pseudodyn.ModeVector.basis(space, 1, 1.0)
+    state = pseudodyn.evolution_functional(space, layer, 1.0, calib)
+    with spans_module.Tracer().installed() as spans:
+        pseudodyn.first_order_residual(state)
+        pseudodyn.semigroup_check(space, layer, [0.5, 0.25], calib)
+    assert spans_module.layer_metrics(spans)["verifier.fd_rebuilds"][0] >= 1
+    assert any(s[0] == "pseudodynamics.evolution_functional"
+               and spans[s[3]][0] == "verifier.semigroup_check"
+               for s in spans if s[3] >= 0)

@@ -140,6 +140,9 @@ BAD_INPUTS = [
      "drive_file: ", "step budget"),
     # a step so fine that the fixed windows exceed the step budget
     ("oracle-qm", [], {"qm_dt": 1e-300}, "qm_dt: ", "step budget"),
+    # a step coarser than the default drive's sample step 1e-3, refused
+    # before the kernel cases write their files
+    ("oracle-qm", [], {"qm_dt": 0.002}, "qm_dt", "drive sample step"),
     # an infinite grid bound, refused by its field before the band check
     ("oracle-qm", [], '{"qm_q_min": -Infinity}', "q_min must be finite"),
     # lattices above the mode cap
@@ -174,6 +177,14 @@ def test_semigroup_passes_at_small_hbar(tmp_path, capsys, hbar):
     # |b_k| grows as 1 / sqrt(h); the deviation is judged relative to it
     assert main(["semigroup", "--hbar", hbar, "--out", str(tmp_path)]) == 0
     assert "semigroup: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("hbar", ["1e6", "1e8"])
+def test_schrodinger_passes_at_large_hbar(tmp_path, capsys, hbar):
+    # the residuals scale with h and are judged in its units: rounding of
+    # 2e-16 h is not a failure
+    assert main(["verify-schrodinger", "--hbar", hbar, "--out", str(tmp_path)]) == 0
+    assert "schrodinger_normal_ordered: PASS" in capsys.readouterr().out
 
 
 # the judged numbers of the default reports, as float.hex (q0 as re, im)

@@ -3,7 +3,6 @@ import pytest
 
 from pseudodyn import (ModeVector, advance, build_mode_space, calibrate,
                        evolution_functional, first_order_residual, z_exponent)
-from pseudodyn import pseudodynamics
 from pseudodyn.sources import contract_v, exponent_coefficients
 
 
@@ -65,7 +64,7 @@ def test_t_zero_matches_direct_substitution(ms):
     v = unit_random(ms, 1)
     st = evolution_functional(ms, v, 0.0)
     zx = z_exponent(ms, 0.0)
-    g = contract_v(zx, v.values, ms.negation)
+    (g,) = contract_v(zx, v.values, ms.negation)
     assert np.array_equal(st.coeffs.a_pair, g.a_pair)
     assert np.array_equal(st.coeffs.b, g.b)
     assert st.coeffs.c == g.c
@@ -164,7 +163,7 @@ def test_build_is_the_rescaled_z_exponent_contraction(n, hbar, t):
     lam = calibrate(space)
     v = unit_random(space, 7)
     got = evolution_functional(space, v, t, lam).coeffs
-    ref = contract_v(z_exponent(space, t), v.values, space.negation)
+    (ref,) = contract_v(z_exponent(space, t), v.values, space.negation)
     assert np.array_equal(got.a_pair, lam * lam * ref.a_pair)
     assert np.array_equal(got.b, lam * ref.b)
     assert got.c == ref.c
@@ -199,9 +198,19 @@ def test_multi_time_build_equals_per_time_builds_bitwise(n, hbar):
     v = unit_random(space, 11)
     dt = 3e-4 / float(space.frequencies.max())
     times = [0.0, dt, 2.0 * dt, 1.0, 10.0]
-    for t, st in zip(times, pseudodynamics._states_at(space, v, times, lam)):
+    states = evolution_functional(space, v, times, lam)
+    assert len(states) == len(times)
+    for t, st in zip(times, states):
         assert st.t == t
         assert _hex(st.coeffs) == _hex(evolution_functional(space, v, t, lam).coeffs)
+
+
+@pytest.mark.parametrize("t", [[], np.array([]), [[0.5, 1.0]], np.ones((2, 2))])
+def test_build_refuses_t_of_another_shape(ms, t):
+    # one time or a non-empty 1-D sequence of times; nothing else is built
+    with pytest.raises(ValueError, match=r"^t must be one time or a non-empty 1-D "
+                                         r"sequence, got shape \([0-9, ]+\)$"):
+        evolution_functional(ms, unit_random(ms, 1), t)
 
 
 def test_build_refuses_a_layer_of_another_lattice(ms):

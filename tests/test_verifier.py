@@ -403,13 +403,13 @@ def test_one_sided_stencil_at_t_zero(state, monkeypatch):
     st0 = evolution_functional(state.space, state.v_hat, 0.0,
                                calibration=state.calibration)
     built = []
-    build = verifier._states_at
+    build = verifier.evolution_functional
 
     def recording(space, v_hat, times, *args):
         built.append(list(times))
         return build(space, v_hat, times, *args)
 
-    monkeypatch.setattr(verifier, "_states_at", recording)
+    monkeypatch.setattr(verifier, "evolution_functional", recording)
     for check in (first_order_residual, schrodinger_residual):
         built.clear()
         report = check(st0)
@@ -437,22 +437,22 @@ def test_fd_column_never_reads_the_state_constant(t, shift):
 def _rate_fault(monkeypatch, eps):
     """Make verifier's state builder rotate b_k at omega_k (1 + eps_k): the
     state under test and its FD neighbours share the fault, which leaves
-    every coefficient law but the phase rate intact.  Returns a one-state
-    build with the fault."""
-    build = verifier._states_at
+    every coefficient law but the phase rate intact.  Returns the build
+    with the fault."""
+    build = verifier.evolution_functional
 
-    def faulty(space, v_hat, times, *args):
+    def faulty(space, v_hat, t, *args):
         out = []
-        for st in build(space, v_hat, times, *args):
+        for st in build(space, v_hat, np.atleast_1d(t), *args):
             g = st.coeffs
             drift = np.exp(-1j * eps * space.frequencies * st.t)
             out.append(EvolutionState(
                 space, st.t, st.v_hat,
                 PairCoefficients(g.a_pair, g.b * drift, g.c, g.negation), st.calibration))
-        return out
+        return out if np.ndim(t) else out[0]
 
-    monkeypatch.setattr(verifier, "_states_at", faulty)
-    return lambda space, v_hat, t, *args: faulty(space, v_hat, (t,), *args)[0]
+    monkeypatch.setattr(verifier, "evolution_functional", faulty)
+    return faulty
 
 
 def _only_fd_fails(state):
@@ -536,3 +536,28 @@ def test_semigroup_catches_a_phase_rate_error_at_small_hbar(monkeypatch, hbar):
 
     monkeypatch.setattr(verifier, "advance", drifting)
     assert semigroup_check(ms, v, parts, calib) > 1e-12
+
+
+@pytest.mark.parametrize("hbar", [1e-30, 1e-8, 1.0, 1e6])
+def test_schrodinger_verdict_matches_first_order_at_any_hbar(monkeypatch, hbar):
+    # every Schrodinger residual scales with hbar, so judged in units of hbar
+    # it agrees with the first-order check on a clean state, a pairing off
+    # by 1 %, and b turning at omega_k (1 + eps)
+    ms = build_mode_space(16, 2 * np.pi, 1.0, hbar=hbar)
+    calib = calibrate(ms)
+    vec = ModeVector.random(ms, np.random.default_rng(9))
+    v = ModeVector(ms, vec.values / np.linalg.norm(vec.values))
+    clean = evolution_functional(ms, v, 1.0, calib)
+    g = clean.coeffs
+    wide = clean._replace(coeffs=PairCoefficients(1.01 * g.a_pair, g.b, g.c, g.negation))
+
+    def verdicts(st):
+        return first_order_residual(st).passed, schrodinger_residual(st).passed
+
+    assert verdicts(clean) == (True, True)
+    assert verdicts(wide) == (False, False)
+    for eps in (1e-5, 1e-3):
+        with monkeypatch.context() as patch:
+            faulty = _rate_fault(patch, eps)
+            first, schr = verdicts(faulty(ms, v, 1.0, calib))
+        assert first == schr, (eps, first, schr)
